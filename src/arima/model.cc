@@ -25,15 +25,13 @@ void ComputeResiduals(std::span<const double> w, std::span<const double> ar,
   const size_t q = ma.size();
   for (size_t t = 0; t < n; ++t) {
     double prediction = 0.0;
-    for (size_t i = 0; i < p; ++i) {
-      if (t > i) {
-        prediction += ar[i] * w[t - i - 1];
-      }
+    const size_t ar_terms = std::min(p, t);
+    for (size_t i = 0; i < ar_terms; ++i) {
+      prediction += ar[i] * w[t - i - 1];
     }
-    for (size_t j = 0; j < q; ++j) {
-      if (t > j) {
-        prediction += ma[j] * residuals[t - j - 1];
-      }
+    const size_t ma_terms = std::min(q, t);
+    for (size_t j = 0; j < ma_terms; ++j) {
+      prediction += ma[j] * residuals[t - j - 1];
     }
     residuals[t] = w[t] - prediction;
   }
@@ -171,8 +169,8 @@ HannanRissanenEstimate HannanRissanen(std::span<const double> w, int p, int q) {
 // all roots outside the unit circle.
 void ForceToStableRegion(std::vector<double>& coefficients) {
   double scale = 1.0;
+  std::vector<double> scaled(coefficients.size());
   for (int attempt = 0; attempt < 32; ++attempt) {
-    std::vector<double> scaled(coefficients.size());
     for (size_t i = 0; i < coefficients.size(); ++i) {
       scaled[i] = coefficients[i] * scale;
     }
@@ -226,6 +224,12 @@ ArimaModel ArimaModel::Fit(std::span<const double> series,
   // Initial estimates.
   HannanRissanenEstimate init = HannanRissanen(w, order.p, order.q);
   ForceToStableRegion(init.ar);
+  // Known defect, kept because fixing it moves every policy table: the
+  // residuals w - sum(phi w) - sum(theta e) make the MA polynomial
+  // 1 + sum theta_j z^j, but this checks 1 - sum theta_j z^j (theta is not
+  // negated).  For q >= 2 that is the wrong polynomial: theta = (1.5, 0.6)
+  // is invertible (both roots at |z| ~ 1.29) yet rejected here.  The CSS
+  // objective below repeats the same check.
   ForceToStableRegion(init.ma);
 
   std::vector<double> ar = init.ar;
@@ -235,18 +239,21 @@ ArimaModel ArimaModel::Fit(std::span<const double> series,
   std::vector<double> residuals;
   if (dim > 0) {
     // CSS refinement.  The objective rejects non-stationary/non-invertible
-    // parameter vectors outright.
+    // parameter vectors outright.  The MA check passes theta unnegated, the
+    // defect described at ForceToStableRegion(init.ma) above.  Every
+    // evaluation reuses `residuals`, which the final pass below overwrites.
     const auto objective = [&](const std::vector<double>& params) {
-      std::vector<double> cand_ar(params.begin(),
-                                  params.begin() + order.p);
-      std::vector<double> cand_ma(params.begin() + order.p, params.end());
+      const std::span<const double> all(params);
+      const std::span<const double> cand_ar =
+          all.first(static_cast<size_t>(order.p));
+      const std::span<const double> cand_ma =
+          all.subspan(static_cast<size_t>(order.p));
       if (!RootsOutsideUnitCircle(cand_ar) ||
           !RootsOutsideUnitCircle(cand_ma)) {
         return std::numeric_limits<double>::infinity();
       }
-      std::vector<double> res;
-      ComputeResiduals(w, cand_ar, cand_ma, res);
-      const double css = SumOfSquares(res);
+      ComputeResiduals(w, cand_ar, cand_ma, residuals);
+      const double css = SumOfSquares(residuals);
       return std::isfinite(css) ? css
                                 : std::numeric_limits<double>::infinity();
     };

@@ -52,8 +52,24 @@ int EstimateDifferencingOrder(std::span<const double> series, int max_d);
 
 // True if all roots of 1 - c1*z - c2*z^2 - ... - cp*z^p lie strictly outside
 // the unit circle (stationarity for AR coefficients, invertibility for
-// negated MA coefficients).  Uses Durand-Kerner iteration; degree <= 8.
+// negated MA coefficients).  Trailing coefficients below 1e-12 in magnitude
+// are dropped; the remaining degree must be <= 8.
+//
+// Gives RootsOutsideUnitCircleDurandKerner's answer, faster.  A
+// real-arithmetic Schur-Cohn step-down test on the radius-scaled
+// coefficients c_i * r^i answers true when every root lies beyond
+// r = 1 + 1e-3 and false when some root lies within r = 1 - 1e-3.  It
+// carries a bound on its own rounding error and abstains when that bound
+// reaches a decision (clustered roots near the circle).  Polynomials with a
+// root inside the +-1e-3 band, abstentions, and non-finite coefficients run
+// Durand-Kerner.  The two agree on every check of a hybrid-policy sweep and
+// on the randomized comparison in tests/series_test.cc.
 bool RootsOutsideUnitCircle(std::span<const double> coefficients);
+
+// The reference root check: Durand-Kerner iteration from the (0.4 + 0.9i)^k
+// seeds, stopping when every step is below 1e-12 (at most 200 sweeps); a
+// root counts as inside when its modulus is <= 1 + 1e-8.
+bool RootsOutsideUnitCircleDurandKerner(std::span<const double> coefficients);
 
 }  // namespace faas
 

@@ -1,6 +1,10 @@
 #include "src/arima/series.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -199,6 +203,154 @@ TEST(RootsTest, Ar2StabilityTriangle) {
   EXPECT_TRUE(RootsOutsideUnitCircle(std::vector<double>{-0.5, 0.3}));
   EXPECT_FALSE(RootsOutsideUnitCircle(std::vector<double>{0.8, 0.3}));
   EXPECT_FALSE(RootsOutsideUnitCircle(std::vector<double>{0.0, 1.1}));
+  // The polynomial is 1 - c1 z - c2 z^2: 1 - 1.5z - 0.6z^2 has a root at
+  // ~0.547, 1 + 1.5z + 0.6z^2 both roots at |z| ~ 1.29.
+  EXPECT_FALSE(RootsOutsideUnitCircle(std::vector<double>{1.5, 0.6}));
+  EXPECT_TRUE(RootsOutsideUnitCircle(std::vector<double>{-1.5, -0.6}));
+}
+
+// Coefficients c of 1 - c1 z - ... - cp z^p for the polynomial with the
+// given roots (complex roots enter with their conjugates).
+class RootPolynomial {
+ public:
+  void AddReal(double root, int multiplicity) {
+    for (int m = 0; m < multiplicity; ++m) {
+      Multiply({1.0, -1.0 / root});
+    }
+  }
+  void AddConjugatePair(double radius, double angle, int multiplicity) {
+    // (1 - z/rho)(1 - z/conj(rho)) = 1 - 2 Re(1/rho) z + |rho|^-2 z^2.
+    const double inv = 1.0 / radius;
+    for (int m = 0; m < multiplicity; ++m) {
+      Multiply({1.0, -2.0 * inv * std::cos(angle), inv * inv});
+    }
+  }
+  size_t degree() const { return poly_.size() - 1; }
+  std::vector<double> Coefficients() const {
+    std::vector<double> c(degree());
+    for (size_t i = 1; i < poly_.size(); ++i) {
+      c[i - 1] = -poly_[i];
+    }
+    return c;
+  }
+
+ private:
+  void Multiply(const std::vector<double>& factor) {
+    std::vector<double> product(poly_.size() + factor.size() - 1, 0.0);
+    for (size_t i = 0; i < poly_.size(); ++i) {
+      for (size_t j = 0; j < factor.size(); ++j) {
+        product[i + j] += poly_[i] * factor[j];
+      }
+    }
+    poly_ = std::move(product);
+  }
+
+  std::vector<double> poly_ = {1.0};
+};
+
+// Root radius: mostly uniform over [0.5, 2], otherwise a value at or just
+// beyond the edges of the band in which the fast path defers to
+// Durand-Kerner.
+double DrawRadius(Rng& rng) {
+  static constexpr double kEdges[] = {0.5,        2.0,        1.0,
+                                      1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1.5e-3,
+                                      1.0 - 1.5e-3};
+  if (rng.Bernoulli(0.4)) {
+    return kEdges[rng.UniformInt(std::size(kEdges))];
+  }
+  return rng.UniformDouble(0.5, 2.0);
+}
+
+// Random polynomial of exactly `degree` from real roots and conjugate pairs,
+// each repeated up to three times.
+std::vector<double> DrawPolynomial(Rng& rng, size_t degree) {
+  RootPolynomial poly;
+  while (poly.degree() < degree) {
+    const size_t room = degree - poly.degree();
+    const bool pair = room >= 2 && rng.Bernoulli(0.5);
+    const size_t width = pair ? 2 : 1;
+    const int multiplicity = static_cast<int>(
+        1 + rng.UniformInt(std::min<uint64_t>(3, room / width)));
+    const double radius = DrawRadius(rng);
+    if (pair) {
+      poly.AddConjugatePair(radius, rng.UniformDouble(0.05, 3.1),
+                            multiplicity);
+    } else {
+      poly.AddReal(rng.Bernoulli(0.5) ? radius : -radius, multiplicity);
+    }
+  }
+  return poly.Coefficients();
+}
+
+TEST(RootsAgreementTest, FastPathMatchesDurandKernerOnRandomPolynomials) {
+  Rng rng(2020);
+  for (size_t degree = 1; degree <= 8; ++degree) {
+    int stable = 0;
+    int unstable = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+      std::vector<double> c = DrawPolynomial(rng, degree);
+      // Trailing zeros (exact, or below the 1e-12 strip threshold) keep the
+      // degree; a quarter of the cases append some.
+      if (degree < 8 && rng.Bernoulli(0.25)) {
+        const size_t extra = 1 + rng.UniformInt(8 - degree);
+        for (size_t k = 0; k < extra; ++k) {
+          c.push_back(rng.Bernoulli(0.5) ? 0.0 : 1e-13);
+        }
+      }
+      const bool reference = RootsOutsideUnitCircleDurandKerner(c);
+      ASSERT_EQ(RootsOutsideUnitCircle(c), reference)
+          << "degree " << degree << " trial " << trial;
+      (reference ? stable : unstable) += 1;
+    }
+    // Both verdicts occur often, so neither branch of the fast path is
+    // vacuous.
+    EXPECT_GT(stable, 200) << "degree " << degree;
+    EXPECT_GT(unstable, 200) << "degree " << degree;
+  }
+}
+
+TEST(RootsAgreementTest, NonFiniteCoefficientsMatchDurandKerner) {
+  Rng rng(2021);
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (size_t degree = 1; degree <= 8; ++degree) {
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<double> c = DrawPolynomial(rng, degree);
+      c[rng.UniformInt(degree)] = kNonFinite[rng.UniformInt(3)];
+      ASSERT_EQ(RootsOutsideUnitCircle(c),
+                RootsOutsideUnitCircleDurandKerner(c))
+          << "degree " << degree << " trial " << trial;
+    }
+  }
+}
+
+TEST(RootsAgreementTest, BandEdgesMatchDurandKerner) {
+  // Every degree with all roots on one radius at the band edges and just
+  // beyond them, as a repeated real root and as a rotated set.
+  for (const double radius :
+       {1.0 - 1.5e-3, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 1.0 + 1.5e-3}) {
+    for (size_t degree = 1; degree <= 8; ++degree) {
+      RootPolynomial repeated;
+      RootPolynomial spread;
+      repeated.AddReal(radius, static_cast<int>(degree));
+      if (degree % 2 == 1) {
+        spread.AddReal(-radius, 1);
+      }
+      for (size_t k = 0; k < degree / 2; ++k) {
+        spread.AddConjugatePair(
+            radius, M_PI * (static_cast<double>(k) + 0.5) /
+                        static_cast<double>(degree / 2 + 1),
+            1);
+      }
+      for (const RootPolynomial* poly : {&repeated, &spread}) {
+        const std::vector<double> c = poly->Coefficients();
+        EXPECT_EQ(RootsOutsideUnitCircle(c),
+                  RootsOutsideUnitCircleDurandKerner(c))
+            << "degree " << degree << " radius " << radius;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -16,6 +16,10 @@
 # cross-thread paths, ASan the decoder stash and per-connection buffers.
 # The resource-ledger suite (cost-accounting merges, sim-vs-cluster charge
 # identity, thread-count determinism) rides in every sanitizer leg.  The
+# ARIMA suites (root checks, whose Durand-Kerner and step-down work arrays
+# are fixed-size and indexed by degree; CSS fits; auto_arima goldens) and
+# the Nelder-Mead suite, whose scratch buffers are swapped into the simplex,
+# ride the UBSan and ASan legs.  The
 # serve-chaos suite (chaos-plan grammar, idempotency index, recovery-ledger
 # merges, plus the loopback watchdog/degrade/drain-under-stall tests) rides
 # the TSan and ASan serving legs: TSan crosses the watchdog timers with
@@ -88,9 +92,10 @@ else
       faults_test network_test overload_test controller_test cluster_test \
       sweep_stream_test generator_shard_test \
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
-      telemetry_integration_test resource_ledger_test
+      telemetry_integration_test resource_ledger_test \
+      series_test arima_model_test auto_arima_test nelder_mead_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -104,12 +109,13 @@ else
       faults_test network_test controller_test cluster_test overload_test \
       telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
-      latency_recorder_test resource_ledger_test
+      latency_recorder_test resource_ledger_test \
+      series_test arima_model_test auto_arima_test nelder_mead_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep rotates shard arenas.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
 fi
 
 echo "== all checks passed =="
