@@ -18,10 +18,6 @@ namespace faas {
 
 namespace {
 
-// NUMA node of the current thread; written once by pinned workers before
-// they start serving tasks, read by CurrentNodeId() on any thread.
-thread_local int tls_node_id = 0;
-
 // Binds the calling thread to one CPU.  Best-effort: failure (e.g. a cgroup
 // that masks the CPU) leaves the thread unpinned, which is always correct.
 bool PinCurrentThread(int cpu) {
@@ -102,23 +98,19 @@ ThreadPool::ThreadPool(const ThreadPoolOptions& options) {
   const int workers = std::max(0, num_threads - 1);
   threads_.reserve(static_cast<size_t>(workers));
   std::vector<int> cpus;
-  const CpuTopology* topo = nullptr;
   if (options.pin_threads) {
-    topo = &CpuTopology::Detect();
-    cpus = topo->InterleavedCpus();
+    cpus = CpuTopology::Detect().InterleavedCpus();
     pinned_ = !cpus.empty();
   }
   for (int i = 0; i < workers; ++i) {
     int cpu = -1;
-    int node = 0;
     if (pinned_) {
       // The caller thread is participant 0 and typically runs on the first
       // CPU the scheduler gave the process; start workers at slot 1 so the
       // pool as a whole covers distinct CPUs when it is hardware-sized.
       cpu = cpus[static_cast<size_t>(i + 1) % cpus.size()];
-      node = topo->NodeOfCpu(cpu);
     }
-    threads_.emplace_back([this, cpu, node] { WorkerLoop(cpu, node); });
+    threads_.emplace_back([this, cpu] { WorkerLoop(cpu); });
   }
 }
 
@@ -133,9 +125,9 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-void ThreadPool::WorkerLoop(int cpu, int node) {
-  if (cpu >= 0 && PinCurrentThread(cpu)) {
-    tls_node_id = node;
+void ThreadPool::WorkerLoop(int cpu) {
+  if (cpu >= 0) {
+    PinCurrentThread(cpu);
   }
   while (true) {
     std::function<void()> task;
@@ -209,7 +201,5 @@ ThreadPool& ThreadPool::Shared() {
   }());
   return pool;
 }
-
-int ThreadPool::CurrentNodeId() { return tls_node_id; }
 
 }  // namespace faas

@@ -10,14 +10,12 @@
 // shared counter is touched O(count / chunk) times instead of O(count).
 //
 // Pinning (ThreadPoolOptions::pin_threads): each worker is bound to one CPU,
-// workers interleaved across NUMA nodes (see cpu_topology.h), and publishes
-// its node id through a thread-local read by CurrentNodeId().  The streaming
-// sweep engine uses that id to return shard arenas to a node-local freelist,
-// so a shard's pages are generated, simulated, and recycled on the same
-// memory controller instead of bouncing across sockets.  Pinning is off by
-// default (it is a pessimisation for pools sharing a machine with other
-// work); the shared pool turns it on when FAAS_PIN_THREADS is set to a
-// non-zero value, and FAAS_POOL_THREADS overrides its size.
+// workers interleaved across NUMA nodes (see cpu_topology.h), so a
+// hardware-sized pool spreads its memory traffic over every controller.
+// Pinning is off by default (it is a pessimisation for pools sharing a
+// machine with other work); the shared pool turns it on when
+// FAAS_PIN_THREADS is set to a non-zero value, and FAAS_POOL_THREADS
+// overrides its size.
 //
 // Design notes:
 //   - The calling thread always participates in the loop body, so a region
@@ -75,9 +73,9 @@ class ThreadPool {
            int max_parallelism = 0, size_t chunk = 0);
 
   // Enqueues one fire-and-forget task for a pool worker.  Intended for the
-  // For() implementation, shard prefetching, and tests; tasks must not
-  // throw.  Callers must not rely on a task ever running when the pool has
-  // zero workers — check num_workers() first.
+  // For() implementation and tests; tasks must not throw.  Callers must not
+  // rely on a task ever running when the pool has zero workers — check
+  // num_workers() first.
   void Submit(std::function<void()> task);
 
   // Process-wide pool sized to the hardware, created on first use.
@@ -85,13 +83,8 @@ class ThreadPool {
   // NUMA-interleaved pinning of its workers.
   static ThreadPool& Shared();
 
-  // NUMA node id of the calling thread: set for pinned pool workers, 0 for
-  // everyone else (including unpinned workers and outside threads).  Always
-  // in [0, CpuTopology::Detect().num_nodes()).
-  static int CurrentNodeId();
-
  private:
-  void WorkerLoop(int cpu, int node);
+  void WorkerLoop(int cpu);
 
   std::mutex mu_;
   std::condition_variable cv_;

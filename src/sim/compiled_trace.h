@@ -70,15 +70,17 @@ struct CompiledTrace {
   static CompiledTrace Compile(const Trace& trace, int num_threads = 1);
 
   // Compiles apps [begin_app, end_app) of `trace` into `out`, reusing the
-  // arenas' existing capacity (the streaming sweep engine recycles a bounded
-  // set of arenas across thousands of shards).  Single-threaded — shard
-  // pipelining provides the parallelism.  `out->entities` is a fresh
-  // app-only index over the range (apps interned in trace order, functions
-  // not interned), so span i is AppId(i) exactly as in Compile.  The merged
-  // (time, exec) sequences are bit-identical to the corresponding spans of
-  // Compile(trace): same insertion order, same time-only comparator.
+  // arenas' existing capacity (the streaming sweep engine recycles one
+  // arena across thousands of shards).  The per-app merges run on up to
+  // num_threads threads: 0 = the shared pool's width, <= 1 = inline.
+  // `out->entities` is a fresh app-only index over the range (apps interned
+  // in trace order, functions not interned), so span i is AppId(i) exactly
+  // as in Compile.  The merged (time, exec) sequences are bit-identical to
+  // the corresponding spans of Compile(trace) at any width: same insertion
+  // order, same time-only comparator.
   static void CompileRangeInto(const Trace& trace, size_t begin_app,
-                               size_t end_app, CompiledTrace* out);
+                               size_t end_app, CompiledTrace* out,
+                               int num_threads = 0);
 };
 
 }  // namespace faas

@@ -3,8 +3,7 @@
 //
 // A ShardSource partitions a workload's app population into contiguous
 // shards and materializes each shard's CompiledTrace arena on demand, so
-// the sweep engine never holds more than a bounded number of shards
-// resident.  Two implementations:
+// the sweep engine holds one shard at a time.  Two implementations:
 //
 //   TraceShardSource      slices an already-materialized Trace (CSV input);
 //                         bounded *compiled* memory, the Trace itself is
@@ -15,13 +14,16 @@
 //                         full trace at all.  Requires flash crowds off
 //                         (the overlay is a global cross-shard pass).
 //
-// Contract: Fill(k, arena) must be thread-safe for concurrent calls with
-// distinct k (the pipeline generates shard k+1 while shard k simulates),
-// and must produce arenas that are a pure function of k — never of the
-// order or concurrency in which shards are requested.  Both implementations
-// get this for free: TraceShardSource reads an immutable Trace, and the
-// generator's pass-1/pass-2 split means each app materializes from a copy
-// of its own forked RNG stream (see src/workload/generator.h).
+// Both build a shard on up to `num_threads` threads (their constructor's
+// last argument: 0 = the shared pool's width, <= 1 = inline), parallel
+// across the shard's apps.
+//
+// Contract: Fill(k, arena) must produce arenas that are a pure function of
+// k — never of the order in which shards are requested or of the width.
+// Both implementations get this for free: TraceShardSource reads an
+// immutable Trace, and the generator's pass-1/pass-2 split means each app
+// materializes from a copy of its own forked RNG stream into its own slot
+// (see src/workload/generator.h).
 //
 // Within an arena, span i is shard-local AppId(i) in arena->entities; the
 // sweep engine re-stamps global dense ids by offsetting with the number of
@@ -60,7 +62,7 @@ class ShardSource {
 // The trace must outlive the source and not change under it.
 class TraceShardSource : public ShardSource {
  public:
-  TraceShardSource(const Trace& trace, int shard_apps);
+  TraceShardSource(const Trace& trace, int shard_apps, int num_threads = 0);
 
   int num_shards() const override { return num_shards_; }
   int shard_begin(int k) const override;
@@ -72,6 +74,7 @@ class TraceShardSource : public ShardSource {
   int shard_apps_;
   int num_apps_;
   int num_shards_;
+  int num_threads_;
 };
 
 // Shards a workload generator's sampled-app range: shard k materializes
@@ -80,7 +83,8 @@ class TraceShardSource : public ShardSource {
 // must outlive the source.  Flash crowds must be disabled in its config.
 class GeneratorShardSource : public ShardSource {
  public:
-  GeneratorShardSource(WorkloadGenerator& generator, int shard_apps);
+  GeneratorShardSource(WorkloadGenerator& generator, int shard_apps,
+                       int num_threads = 0);
 
   int num_shards() const override { return num_shards_; }
   int shard_begin(int k) const override;
@@ -92,6 +96,7 @@ class GeneratorShardSource : public ShardSource {
   int shard_apps_;
   int num_apps_;
   int num_shards_;
+  int num_threads_;
 };
 
 }  // namespace faas

@@ -1,18 +1,14 @@
 #include "src/sim/sweep.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <utility>
 
-#include "src/common/arena_pool.h"
 #include "src/common/logging.h"
 #include "src/common/parallel.h"
-#include "src/common/thread_pool.h"
 #include "src/trace/entity_index.h"
 
 namespace faas {
@@ -33,6 +29,59 @@ void FinalizePoints(std::vector<PolicyPoint>& points, size_t baseline_index) {
             ? 100.0 * point.wasted_memory_minutes / baseline_waste
             : 0.0;
   }
+}
+
+// Calls cell(p, i) for every (policy p, app i) of `compiled` on up to
+// num_threads threads (0 = hardware concurrency).  One task simulates one
+// chunk of apps under one policy: chunks keep the task count well above the
+// thread count for load balance without paying one dispatch per app.  Every
+// cell must write its own slot, so scheduling order cannot change the
+// output.
+void ForEachCell(const CompiledTrace& compiled, size_t num_policies,
+                 int num_threads,
+                 const std::function<void(size_t, size_t)>& cell) {
+  const size_t num_apps = compiled.num_apps();
+  const int threads = num_threads == 0 ? HardwareThreads() : num_threads;
+  const size_t chunk_size = std::clamp<size_t>(
+      num_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4), 1,
+      256);
+  const size_t num_chunks =
+      num_apps == 0 ? 0 : (num_apps + chunk_size - 1) / chunk_size;
+
+  // The daily-rate distribution is heavy-tailed, so a few chunks can carry
+  // most of the invocations; with dynamic claiming a giant chunk picked up
+  // last serialises the whole region behind one thread.  Schedule tasks in
+  // descending chunk-invocation order instead (stable, so equal-cost tasks
+  // keep policy-major order and the permutation is deterministic), claiming
+  // one task at a time.
+  std::vector<int64_t> chunk_cost(num_chunks, 0);
+  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+    const size_t begin = chunk * chunk_size;
+    const size_t end = std::min(begin + chunk_size, num_apps);
+    for (size_t i = begin; i < end; ++i) {
+      chunk_cost[chunk] += static_cast<int64_t>(compiled.spans[i].size());
+    }
+  }
+  std::vector<size_t> task_order(num_policies * num_chunks);
+  std::iota(task_order.begin(), task_order.end(), size_t{0});
+  std::stable_sort(task_order.begin(), task_order.end(),
+                   [&](size_t a, size_t b) {
+                     return chunk_cost[a % num_chunks] >
+                            chunk_cost[b % num_chunks];
+                   });
+
+  ParallelFor(
+      task_order.size(),
+      [&](size_t slot) {
+        const size_t task = task_order[slot];
+        const size_t p = task / num_chunks;
+        const size_t begin = (task % num_chunks) * chunk_size;
+        const size_t end = std::min(begin + chunk_size, num_apps);
+        for (size_t i = begin; i < end; ++i) {
+          cell(p, i);
+        }
+      },
+      num_threads, /*chunk=*/1);
 }
 
 }  // namespace
@@ -76,59 +125,14 @@ std::vector<PolicyPoint> EvaluatePolicies(
     }
   }
 
-  // One task simulates one shard of apps under one policy; every (policy,
-  // app) cell lands in its own pre-sized slot, so scheduling order cannot
-  // change the output.  Shards keep the task count well above the thread
-  // count for load balance without paying one dispatch per app.
-  const int threads =
-      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
-  const size_t shard_size = std::clamp<size_t>(
-      num_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4), 1,
-      256);
-  const size_t num_shards =
-      num_apps == 0 ? 0 : (num_apps + shard_size - 1) / shard_size;
-
-  // The daily-rate distribution is heavy-tailed, so a few shards can carry
-  // most of the invocations; with dynamic claiming a giant shard picked up
-  // last serialises the whole region behind one thread.  Schedule tasks in
-  // descending shard-invocation order instead (stable, so equal-cost tasks
-  // keep policy-major order and the permutation is deterministic), claiming
-  // one task at a time.  Output slots are per-(policy, app), so scheduling
-  // order cannot leak into the results.
-  std::vector<int64_t> shard_cost(num_shards, 0);
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    const size_t begin = shard * shard_size;
-    const size_t end = std::min(begin + shard_size, num_apps);
-    for (size_t i = begin; i < end; ++i) {
-      shard_cost[shard] += static_cast<int64_t>(compiled.spans[i].size());
-    }
-  }
-  std::vector<size_t> task_order(num_policies * num_shards);
-  std::iota(task_order.begin(), task_order.end(), size_t{0});
-  std::stable_sort(task_order.begin(), task_order.end(),
-                   [&](size_t a, size_t b) {
-                     return shard_cost[a % num_shards] >
-                            shard_cost[b % num_shards];
-                   });
-
-  ParallelFor(
-      task_order.size(),
-      [&](size_t slot) {
-        const size_t task = task_order[slot];
-        const size_t p = task / num_shards;
-        const size_t shard = task % num_shards;
-        const size_t begin = shard * shard_size;
-        const size_t end = std::min(begin + shard_size, num_apps);
-        const SimPolicyInstruments* policy_instruments =
-            instruments.empty() ? nullptr : &instruments[p];
-        for (size_t i = begin; i < end; ++i) {
-          const std::unique_ptr<KeepAlivePolicy> policy =
-              factories[p]->CreateForApp();
-          points[p].result.apps[i] =
-              simulator.SimulateApp(compiled, i, *policy, policy_instruments);
-        }
-      },
-      options.num_threads, /*chunk=*/1);
+  ForEachCell(compiled, num_policies, options.num_threads,
+              [&](size_t p, size_t i) {
+                const std::unique_ptr<KeepAlivePolicy> policy =
+                    factories[p]->CreateForApp();
+                points[p].result.apps[i] = simulator.SimulateApp(
+                    compiled, i, *policy,
+                    instruments.empty() ? nullptr : &instruments[p]);
+              });
 
   FinalizePoints(points, baseline_index);
   return points;
@@ -137,7 +141,7 @@ std::vector<PolicyPoint> EvaluatePolicies(
 std::vector<PolicyPoint> EvaluatePoliciesStreamed(
     const ShardSource& source,
     const std::vector<const PolicyFactory*>& factories, size_t baseline_index,
-    const SimulatorOptions& options, const StreamingSweepOptions& stream) {
+    const SimulatorOptions& options, const StreamingSweepOptions& /*stream*/) {
   FAAS_CHECK(baseline_index < factories.size()) << "baseline out of range";
   FAAS_CHECK(options.telemetry == nullptr)
       << "telemetry is not supported in streamed sweeps (instrument "
@@ -145,8 +149,6 @@ std::vector<PolicyPoint> EvaluatePoliciesStreamed(
   const ColdStartSimulator simulator(options);
   const int num_shards = source.num_shards();
   const size_t num_policies = factories.size();
-  const int threads =
-      options.num_threads == 0 ? HardwareThreads() : options.num_threads;
 
   std::vector<PolicyPoint> points(num_policies);
   for (size_t p = 0; p < num_policies; ++p) {
@@ -154,127 +156,14 @@ std::vector<PolicyPoint> EvaluatePoliciesStreamed(
     points[p].result.policy_name = points[p].name;
   }
 
-  // Bounded-depth pipeline over reusable slots: shard k lives in slot
-  // k % depth.  Generation of a shard is claimed exactly once through a CAS
-  // (either by a pool worker running the prefetch task, or inline by the
-  // consumer when it arrives first — which is also what keeps a zero-worker
-  // pool deadlock-free), so at most `depth` arenas exist at any moment.
-  struct Slot {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::unique_ptr<CompiledTrace> arena;  // set under mu when ready
-    bool ready = false;                    // guarded by mu
-    std::atomic<int> claim{0};             // 0 = unclaimed, 1 = claimed
-    int shard = -1;                        // target shard for this cycle
-  };
-  const int depth =
-      std::max(1, std::min(stream.max_resident_shards,
-                           num_shards == 0 ? 1 : num_shards));
-  // Slots are shared with the queued prefetch tasks: a task whose shard the
-  // consumer claimed inline may still sit in the pool queue when this frame
-  // unwinds, and must find valid memory for its (failing) claim check.
-  std::vector<std::shared_ptr<Slot>> slots;
-  slots.reserve(static_cast<size_t>(depth));
-  for (int s = 0; s < depth; ++s) {
-    slots.push_back(std::make_shared<Slot>());
-  }
-
-  ThreadPool& pool = ThreadPool::Shared();
-  // Prefetch only helps when a worker can overlap generation with the
-  // consumer's simulation; with zero workers or a sequential run the
-  // consumer generates every shard inline.
-  const bool prefetch = threads > 1 && pool.num_workers() > 0 && depth > 1;
-  ArenaPool<CompiledTrace> arena_pool;
-
-  auto generate = [&](Slot& slot) {
-    std::unique_ptr<CompiledTrace> arena = arena_pool.Acquire();
-    source.Fill(slot.shard, arena.get());
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.arena = std::move(arena);
-    slot.ready = true;
-    slot.cv.notify_all();
-  };
-
-  // Arms slot (shard % depth) for `shard` and, when prefetching, offers the
-  // generation to the pool.  The shard/ready writes happen before the claim
-  // reset (release), and every generator CAS-acquires the claim, so whoever
-  // wins sees the new target.  A stale task from the slot's previous cycle
-  // can also win the CAS — it generates the *current* target, which is
-  // exactly as correct.
-  auto arm = [&](int shard) {
-    const std::shared_ptr<Slot>& slot_ptr =
-        slots[static_cast<size_t>(shard) % static_cast<size_t>(depth)];
-    Slot& slot = *slot_ptr;
-    {
-      std::lock_guard<std::mutex> lock(slot.mu);
-      slot.ready = false;
-      slot.shard = shard;
-    }
-    slot.claim.store(0, std::memory_order_release);
-    if (prefetch) {
-      // `generate` is captured by reference; it is only invoked after a
-      // successful claim, and the drain guard below forecloses every claim
-      // before this frame unwinds, so the reference never dangles in use.
-      std::shared_ptr<Slot> armed = slot_ptr;
-      pool.Submit([armed, &generate] {
-        int expected = 0;
-        if (armed->claim.compare_exchange_strong(expected, 1,
-                                                 std::memory_order_acq_rel)) {
-          generate(*armed);
-        }
-      });
-    }
-  };
-
-  // On every exit path (including a policy exception rethrown out of the
-  // simulation region) claim all slots, so a still-queued prefetch task can
-  // never start generating against destroyed locals, and wait out any
-  // generation already in flight on a worker.
-  struct DrainGuard {
-    std::vector<std::shared_ptr<Slot>>& slots;
-    ~DrainGuard() {
-      for (const std::shared_ptr<Slot>& slot_ptr : slots) {
-        Slot& slot = *slot_ptr;
-        int expected = 0;
-        if (slot.claim.compare_exchange_strong(expected, 1,
-                                               std::memory_order_acq_rel)) {
-          continue;  // We own the claim; no generation will ever start.
-        }
-        // Claimed by a generator (possibly long finished): wait until the
-        // arena handoff is published so no worker still touches the slot.
-        std::unique_lock<std::mutex> lock(slot.mu);
-        slot.cv.wait(lock, [&slot] { return slot.ready; });
-      }
-    }
-  } drain_guard{slots};
-
-  for (int k = 0; k < std::min(depth, num_shards); ++k) {
-    arm(k);
-  }
-
+  // One arena, recycled across shards: the source builds shard k on its
+  // own width, then this thread simulates it.  Shards are consumed in index
+  // order, which is what makes the global ids below canonical.
+  CompiledTrace compiled;
   auto entities = std::make_shared<EntityIndex>();
   size_t app_offset = 0;  // global dense id of the next surviving app
   for (int k = 0; k < num_shards; ++k) {
-    Slot& slot =
-        *slots[static_cast<size_t>(k) % static_cast<size_t>(depth)];
-    int expected = 0;
-    if (slot.claim.compare_exchange_strong(expected, 1,
-                                           std::memory_order_acq_rel)) {
-      generate(slot);
-    }
-    std::unique_ptr<CompiledTrace> arena;
-    {
-      std::unique_lock<std::mutex> lock(slot.mu);
-      slot.cv.wait(lock, [&slot] { return slot.ready; });
-      arena = std::move(slot.arena);
-    }
-    // The slot is free again: arm it for the shard `depth` ahead so its
-    // generation overlaps this shard's simulation.
-    if (k + depth < num_shards) {
-      arm(k + depth);
-    }
-
-    const CompiledTrace& compiled = *arena;
+    source.Fill(k, &compiled);
     const size_t local_apps = compiled.num_apps();
     // Fold the shard's surviving apps into the global identity space: ids
     // are positional, so interning in shard-consumption order reproduces
@@ -288,33 +177,20 @@ std::vector<PolicyPoint> EvaluatePoliciesStreamed(
       points[p].result.apps.resize(app_offset + local_apps);
     }
 
-    // Same (policy x app-chunk) cell structure as the materialized engine,
-    // scoped to this shard; every cell writes its own slot.
-    const size_t sim_chunk = std::clamp<size_t>(
-        local_apps / std::max<size_t>(1, static_cast<size_t>(threads) * 4),
-        1, 256);
-    const size_t num_chunks =
-        local_apps == 0 ? 0 : (local_apps + sim_chunk - 1) / sim_chunk;
-    ParallelFor(
-        num_policies * num_chunks,
-        [&](size_t task) {
-          const size_t p = task / num_chunks;
-          const size_t chunk = task % num_chunks;
-          const size_t begin = chunk * sim_chunk;
-          const size_t end = std::min(begin + sim_chunk, local_apps);
-          for (size_t i = begin; i < end; ++i) {
-            const std::unique_ptr<KeepAlivePolicy> policy =
-                factories[p]->CreateForApp();
-            AppSimResult result = simulator.SimulateApp(compiled, i, *policy);
-            // SimulateApp stamps the shard-local id; lift it to the global
-            // dense range.
-            result.app = AppId(static_cast<int64_t>(app_offset + i));
-            points[p].result.apps[app_offset + i] = std::move(result);
-          }
-        },
-        options.num_threads);
+    // The same (policy x app-chunk) cells as the materialized engine,
+    // scoped to this shard.
+    ForEachCell(compiled, num_policies, options.num_threads,
+                [&](size_t p, size_t i) {
+                  const std::unique_ptr<KeepAlivePolicy> policy =
+                      factories[p]->CreateForApp();
+                  AppSimResult result =
+                      simulator.SimulateApp(compiled, i, *policy);
+                  // SimulateApp stamps the shard-local id; lift it to the
+                  // global dense range.
+                  result.app = AppId(static_cast<int64_t>(app_offset + i));
+                  points[p].result.apps[app_offset + i] = std::move(result);
+                });
     app_offset += local_apps;
-    arena_pool.Release(std::move(arena));
   }
 
   const std::shared_ptr<const EntityIndex> shared_entities =

@@ -12,12 +12,13 @@
 // to evaluating the policies one after another on a single thread.
 //
 // EvaluatePoliciesStreamed replays the same sweep without ever holding the
-// full trace: a ShardSource materializes compiled per-app-shard arenas on
-// demand, a bounded-depth pipeline generates shard k+1 on pool workers
-// while shard k simulates, and per-app results fold into the output in
-// shard order.  Peak memory is O(max_resident_shards * shard size +
-// results) instead of O(trace).  Output is bit-identical to the
-// materialized path — see DESIGN.md for the determinism argument.
+// full trace: a ShardSource builds one compiled per-app-shard arena at a
+// time, parallel across the shard's apps, then the shard's cells simulate
+// on the pool with the same largest-first scheduling, and per-app results
+// fold into the output in shard order.  Peak
+// memory is O(shard size + results) instead of O(trace).  Output is
+// bit-identical to the materialized path — see DESIGN.md for the
+// determinism argument.
 
 #ifndef SRC_SIM_SWEEP_H_
 #define SRC_SIM_SWEEP_H_
@@ -61,18 +62,19 @@ std::vector<PolicyPoint> EvaluatePolicies(
     size_t baseline_index = 0, const SimulatorOptions& options = {});
 
 struct StreamingSweepOptions {
-  // Upper bound on shard arenas alive at once: the consumer simulates shard
-  // k while pool workers pre-generate up to (max_resident_shards - 1)
-  // shards ahead.  1 disables prefetch (strictly alternate generate /
-  // simulate); 0 is clamped to 1.
+  // Upper bound on shard arenas alive at once.  The engine always holds
+  // exactly one shard, which meets any bound >= 1, so the field has no
+  // effect; it stays only because the repository benchmark
+  // (perfbench/pb/sweep.cc) still sets it.
   int max_resident_shards = 2;
 };
 
-// Streaming counterpart of EvaluatePolicies: pulls shards from `source`
-// through a bounded pipeline, simulates every (policy, app) cell, and folds
-// per-app results in shard order, re-stamping shard-local app ids onto the
-// global dense range.  Bit-identical to EvaluatePolicies on the equivalent
-// materialized trace, for any max_resident_shards and any --threads.
+// Streaming counterpart of EvaluatePolicies: for each shard of `source` in
+// order, builds its arena (Fill, on the source's width) on this thread,
+// simulates every (policy, app) cell on options.num_threads, and folds the
+// per-app results in, re-stamping shard-local app ids onto the global
+// dense range.  Bit-identical to EvaluatePolicies on the equivalent
+// materialized trace, for any shard size, source width and --threads.
 // Telemetry is not supported in streamed mode (instrument registration
 // needs the app population up front); options.telemetry must be null.
 std::vector<PolicyPoint> EvaluatePoliciesStreamed(

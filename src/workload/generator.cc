@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
 
 #include "src/common/logging.h"
+#include "src/common/parallel.h"
 #include "src/stats/distributions.h"
 #include "src/trace/entity_index.h"
 #include "src/workload/arrival.h"
@@ -490,16 +492,45 @@ std::optional<AppTrace> WorkloadGenerator::MaterializeApp(
   return app;
 }
 
-Trace WorkloadGenerator::Generate() {
+std::vector<AppTrace> WorkloadGenerator::MaterializeRange(
+    int begin, int end, int num_threads) const {
+  // Apps claim heaviest first (pass-1 daily rate; stable, so ties keep
+  // index order): the rate distribution is heavy-tailed, and a heavy app
+  // claimed last would serialise the tail of the region behind one thread.
+  // Each app replays its own forked RNG stream into its own slot, so claim
+  // order and width cannot change the output.
+  const size_t count = static_cast<size_t>(end - begin);
+  std::vector<int> order(count);
+  std::iota(order.begin(), order.end(), begin);
+  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
+    return plans_[static_cast<size_t>(a)].rate >
+           plans_[static_cast<size_t>(b)].rate;
+  });
+  std::vector<std::optional<AppTrace>> slots(count);
+  ParallelFor(
+      count,
+      [&](size_t claim) {
+        const int app_index = order[claim];
+        slots[static_cast<size_t>(app_index - begin)] =
+            MaterializeApp(app_index);
+      },
+      num_threads, /*chunk=*/1);
+  // Compact in index order: zero-invocation apps drop out here.
+  std::vector<AppTrace> apps;
+  apps.reserve(count);
+  for (std::optional<AppTrace>& slot : slots) {
+    if (slot.has_value()) {
+      apps.push_back(std::move(*slot));
+    }
+  }
+  return apps;
+}
+
+Trace WorkloadGenerator::Generate(int num_threads) {
   PreparePlans();
   Trace trace;
   trace.horizon = config_.Horizon();
-  trace.apps.reserve(static_cast<size_t>(config_.num_apps));
-  for (int app_index = 0; app_index < config_.num_apps; ++app_index) {
-    if (std::optional<AppTrace> app = MaterializeApp(app_index)) {
-      trace.apps.push_back(std::move(*app));
-    }
-  }
+  trace.apps = MaterializeRange(0, config_.num_apps, num_threads);
   // Flash-crowd overlay, after every app's own stream is materialised so
   // the per-app forks above are untouched.  Gated on the knob: a zero count
   // forks no RNG stream and leaves the trace bit-identical.  The fork comes
@@ -519,7 +550,7 @@ Trace WorkloadGenerator::Generate() {
   return trace;
 }
 
-Trace WorkloadGenerator::GenerateShard(int begin, int end) {
+Trace WorkloadGenerator::GenerateShard(int begin, int end, int num_threads) {
   FAAS_CHECK(begin >= 0 && begin <= end && end <= config_.num_apps)
       << "shard range [" << begin << ", " << end << ") out of [0, "
       << config_.num_apps << ")";
@@ -529,12 +560,7 @@ Trace WorkloadGenerator::GenerateShard(int begin, int end) {
   PreparePlans();
   Trace trace;
   trace.horizon = config_.Horizon();
-  trace.apps.reserve(static_cast<size_t>(end - begin));
-  for (int app_index = begin; app_index < end; ++app_index) {
-    if (std::optional<AppTrace> app = MaterializeApp(app_index)) {
-      trace.apps.push_back(std::move(*app));
-    }
-  }
+  trace.apps = MaterializeRange(begin, end, num_threads);
   trace.entities = EntityIndex::Build(trace);
   return trace;
 }

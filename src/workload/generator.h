@@ -14,7 +14,9 @@
 // materialized independently (GenerateShard) and is bit-identical to the
 // same apps inside a full Generate().  That property is what lets the
 // streaming sweep engine (src/sim/shard_source.h) generate per-shard event
-// arenas on demand without ever holding the full trace.
+// arenas on demand without ever holding the full trace, and what lets both
+// calls materialize their apps in parallel: each app lands in its own slot,
+// so the output is the same at any width.
 
 #ifndef SRC_WORKLOAD_GENERATOR_H_
 #define SRC_WORKLOAD_GENERATOR_H_
@@ -39,8 +41,10 @@ class WorkloadGenerator {
   // horizon are dropped (the Azure dataset only contains invoked functions);
   // `num_apps` is the number of *sampled* apps, so the returned trace may
   // contain slightly fewer.  Idempotent: calling Generate() twice on the
-  // same instance returns the same trace.
-  Trace Generate();
+  // same instance returns the same trace.  num_threads is the materialize
+  // width (0 = the shared pool's, <= 1 = inline); the trace is the same at
+  // any width.
+  Trace Generate(int num_threads = 0);
 
   // Number of sampled app slots (config.num_apps); shard ranges index these,
   // not the surviving apps of the output trace.
@@ -54,9 +58,10 @@ class WorkloadGenerator {
   // Materializes the sampled apps in [begin, end): the returned trace holds
   // that range's *surviving* apps, bit-identical (ids, instants, stats) to
   // the same apps inside Generate()'s output, with a shard-local entity
-  // index.  Thread-safe for concurrent calls with any ranges; requires
-  // flash crowds disabled (the overlay is a cross-shard global pass).
-  Trace GenerateShard(int begin, int end);
+  // index.  num_threads as in Generate().  Thread-safe for concurrent calls
+  // with any ranges; requires flash crowds disabled (the overlay is a
+  // cross-shard global pass).
+  Trace GenerateShard(int begin, int end, int num_threads = 0);
 
   const GeneratorConfig& config() const { return config_; }
 
@@ -105,6 +110,10 @@ class WorkloadGenerator {
   // Pass 2 for one sampled app, replaying from a copy of its plan's RNG.
   // nullopt when the app never fires inside the horizon (dropped).
   std::optional<AppTrace> MaterializeApp(int app_index) const;
+  // Pass 2 for sampled apps [begin, end) on up to num_threads threads; the
+  // surviving apps in index order.
+  std::vector<AppTrace> MaterializeRange(int begin, int end,
+                                         int num_threads) const;
 
   GeneratorConfig config_;
   RateModel rate_model_;

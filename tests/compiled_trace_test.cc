@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +71,61 @@ TEST(CompiledTraceTest, ParallelCompileMatchesSequential) {
   for (size_t a = 0; a < sequential.spans.size(); ++a) {
     EXPECT_EQ(sequential.spans[a].begin, parallel.spans[a].begin);
     EXPECT_EQ(sequential.spans[a].end, parallel.spans[a].end);
+  }
+}
+
+TEST(CompiledTraceTest, CompileRangeIntoMatchesCompileAtAnyWidth) {
+  Trace trace = MakeSeededTrace();
+  // Two timer functions with the same period in one app: every instant is
+  // a cross-function tie, so exec_ms order depends on the tie-break.
+  AppTrace timers;
+  timers.owner_id = "owner-ties";
+  timers.app_id = "app-ties";
+  timers.memory = {128.0, 120.0, 140.0, 1};
+  for (const double exec_ms : {100.0, 250.0}) {
+    FunctionTrace function;
+    function.function_id = "fn-" + std::to_string(static_cast<int>(exec_ms));
+    function.trigger = TriggerType::kTimer;
+    function.execution.average_ms = exec_ms;
+    for (int64_t t = 0; t < trace.horizon.millis(); t += 5 * 60 * 1000) {
+      function.invocations.emplace_back(t);
+    }
+    timers.functions.push_back(std::move(function));
+  }
+  trace.apps.insert(trace.apps.begin() + 40, std::move(timers));
+  trace.entities.reset();
+  const CompiledTrace reference = CompiledTrace::Compile(trace, 1);
+
+  for (const int threads : {1, 4}) {
+    for (const size_t shard_apps : {size_t{1}, size_t{7}, size_t{64},
+                                    trace.apps.size()}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shard_apps=" + std::to_string(shard_apps));
+      CompiledTrace arena;  // Recycled across the ranges, as when streaming.
+      for (size_t begin = 0; begin < trace.apps.size(); begin += shard_apps) {
+        const size_t end = std::min(begin + shard_apps, trace.apps.size());
+        CompiledTrace::CompileRangeInto(trace, begin, end, &arena, threads);
+        ASSERT_EQ(arena.num_apps(), end - begin);
+        EXPECT_EQ(arena.horizon, trace.horizon);
+        for (size_t a = 0; a < arena.num_apps(); ++a) {
+          const CompiledTrace::AppSpan got = arena.spans[a];
+          const CompiledTrace::AppSpan want = reference.spans[begin + a];
+          ASSERT_EQ(got.size(), want.size()) << "app " << begin + a;
+          EXPECT_TRUE(std::equal(arena.times_ms.begin() + got.begin,
+                                 arena.times_ms.begin() + got.end,
+                                 reference.times_ms.begin() + want.begin))
+              << "app " << begin + a;
+          EXPECT_TRUE(std::equal(arena.exec_ms.begin() + got.begin,
+                                 arena.exec_ms.begin() + got.end,
+                                 reference.exec_ms.begin() + want.begin))
+              << "app " << begin + a;
+          EXPECT_EQ(arena.memory_mb[a], reference.memory_mb[begin + a]);
+          EXPECT_EQ(arena.AppName(a), reference.AppName(begin + a));
+        }
+        EXPECT_EQ(arena.times_ms.size(),
+                  reference.spans[end - 1].end - reference.spans[begin].begin);
+      }
+    }
   }
 }
 

@@ -1,10 +1,12 @@
 // Shard-addressable generation properties: a shard materialised standalone
 // must be bit-identical to the same AppId range sliced out of a full
-// Generate(), for any shard partition — the foundation the streaming sweep
-// engine's determinism rests on (see DESIGN.md).
+// Generate(), for any shard partition and any materialize width — the
+// foundation the streaming sweep engine's determinism rests on (see
+// DESIGN.md).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,10 @@ GeneratorConfig SmallConfig() {
   config.days = 2;
   config.seed = 91;
   config.instants_rate_cap_per_day = 1200;
+  // Enough one-shot and pattern-change apps that every materialize path
+  // runs alongside the regular one (and the zero-invocation drop).
+  config.frac_one_shot_apps = 0.1;
+  config.pattern_change_fraction = 0.2;
   return config;
 }
 
@@ -50,27 +56,41 @@ void ExpectAppsIdentical(const AppTrace& lhs, const AppTrace& rhs,
   }
 }
 
+void ExpectTracesIdentical(const std::vector<AppTrace>& lhs,
+                           const std::vector<AppTrace>& rhs) {
+  ASSERT_EQ(lhs.size(), rhs.size());
+  for (size_t a = 0; a < lhs.size(); ++a) {
+    ExpectAppsIdentical(lhs[a], rhs[a], "app " + std::to_string(a));
+  }
+}
+
 TEST(GeneratorShardTest, ShardsConcatenateToFullGeneration) {
   const GeneratorConfig config = SmallConfig();
-  WorkloadGenerator full_gen(config);
-  const Trace full = full_gen.Generate();
+  const Trace full = WorkloadGenerator(config).Generate(/*num_threads=*/1);
+  // The population drops zero-invocation apps and holds one-shot apps.
+  ASSERT_LT(full.apps.size(), static_cast<size_t>(config.num_apps));
+  ASSERT_TRUE(std::any_of(full.apps.begin(), full.apps.end(),
+                          [](const AppTrace& app) {
+                            return app.TotalInvocations() == 1;
+                          }));
 
-  for (const int shard_apps : {1, 7, 64, 150, 400}) {
-    SCOPED_TRACE("shard_apps=" + std::to_string(shard_apps));
-    WorkloadGenerator shard_gen(config);  // Fresh instance: no shared state.
-    std::vector<AppTrace> stitched;
-    for (int begin = 0; begin < config.num_apps; begin += shard_apps) {
-      const int end = std::min(begin + shard_apps, config.num_apps);
-      Trace shard = shard_gen.GenerateShard(begin, end);
-      EXPECT_EQ(shard.horizon, full.horizon);
-      for (AppTrace& app : shard.apps) {
-        stitched.push_back(std::move(app));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    WorkloadGenerator full_gen(config);
+    ExpectTracesIdentical(full_gen.Generate(threads).apps, full.apps);
+    for (const int shard_apps : {1, 7, 64, 150, 400}) {
+      SCOPED_TRACE("shard_apps=" + std::to_string(shard_apps));
+      WorkloadGenerator shard_gen(config);  // Fresh instance: no shared state.
+      std::vector<AppTrace> stitched;
+      for (int begin = 0; begin < config.num_apps; begin += shard_apps) {
+        const int end = std::min(begin + shard_apps, config.num_apps);
+        Trace shard = shard_gen.GenerateShard(begin, end, threads);
+        EXPECT_EQ(shard.horizon, full.horizon);
+        for (AppTrace& app : shard.apps) {
+          stitched.push_back(std::move(app));
+        }
       }
-    }
-    ASSERT_EQ(stitched.size(), full.apps.size());
-    for (size_t a = 0; a < stitched.size(); ++a) {
-      ExpectAppsIdentical(stitched[a], full.apps[a],
-                          "app " + std::to_string(a));
+      ExpectTracesIdentical(stitched, full.apps);
     }
   }
 }

@@ -1,8 +1,8 @@
 // Streaming sweep engine equivalence: EvaluatePoliciesStreamed must be
-// bit-identical to the materialized EvaluatePolicies for every residency
-// bound, thread count, and shard source — and robust to policies throwing
-// mid-shard and to a chaos replay running concurrently (the ASan smoke the
-// check.sh leg drives).
+// bit-identical to the materialized EvaluatePolicies for every shard size,
+// source width, engine thread count, and shard source — and robust to
+// policies throwing mid-shard and to a chaos replay running concurrently
+// (the ASan smoke the check.sh leg drives).
 
 #include "src/sim/sweep.h"
 
@@ -70,7 +70,7 @@ void ExpectPointsIdentical(const std::vector<PolicyPoint>& streamed,
   }
 }
 
-TEST(SweepStreamTest, StreamedMatchesMaterializedAcrossResidencyAndThreads) {
+TEST(SweepStreamTest, StreamedMatchesMaterializedAcrossSourceWidthAndThreads) {
   WorkloadGenerator gen(SmallConfig());
   const Trace trace = gen.Generate();
   const FixedKeepAliveFactory fixed10(Duration::Minutes(10));
@@ -82,18 +82,21 @@ TEST(SweepStreamTest, StreamedMatchesMaterializedAcrossResidencyAndThreads) {
   options.num_threads = 1;
   const auto materialized = EvaluatePolicies(trace, factories, 0, options);
 
-  const TraceShardSource source(trace, /*shard_apps=*/32);
-  for (const int residency : {1, 2, 1 << 20}) {
-    for (const int threads : {1, 4, 8}) {
-      SCOPED_TRACE("residency=" + std::to_string(residency) +
-                   " threads=" + std::to_string(threads));
-      SimulatorOptions streamed_options;
-      streamed_options.num_threads = threads;
-      StreamingSweepOptions stream;
-      stream.max_resident_shards = residency;
-      const auto streamed = EvaluatePoliciesStreamed(
-          source, factories, 0, streamed_options, stream);
-      ExpectPointsIdentical(streamed, materialized);
+  // The source builds each shard on its own width, independent of the
+  // engine's simulation width; every pairing must give the same tables.
+  for (const int shard_apps : {1, 32, 500}) {
+    for (const int source_threads : {1, 4}) {
+      const TraceShardSource source(trace, shard_apps, source_threads);
+      for (const int threads : {1, 4, 8}) {
+        SCOPED_TRACE("shard_apps=" + std::to_string(shard_apps) +
+                     " source_threads=" + std::to_string(source_threads) +
+                     " threads=" + std::to_string(threads));
+        SimulatorOptions streamed_options;
+        streamed_options.num_threads = threads;
+        const auto streamed =
+            EvaluatePoliciesStreamed(source, factories, 0, streamed_options);
+        ExpectPointsIdentical(streamed, materialized);
+      }
     }
   }
 }
@@ -110,12 +113,16 @@ TEST(SweepStreamTest, GeneratorSourceMatchesMaterializedGeneration) {
   const auto materialized = EvaluatePolicies(trace, factories, 0);
 
   WorkloadGenerator streaming_gen(SmallConfig());
-  const GeneratorShardSource source(streaming_gen, /*shard_apps=*/25);
-  SimulatorOptions options;
-  options.num_threads = 4;
-  const auto streamed =
-      EvaluatePoliciesStreamed(source, factories, 0, options);
-  ExpectPointsIdentical(streamed, materialized);
+  for (const int source_threads : {1, 4}) {
+    SCOPED_TRACE("source_threads=" + std::to_string(source_threads));
+    const GeneratorShardSource source(streaming_gen, /*shard_apps=*/25,
+                                      source_threads);
+    SimulatorOptions options;
+    options.num_threads = 5 - source_threads;  // 4 / 1: widths differ.
+    const auto streamed =
+        EvaluatePoliciesStreamed(source, factories, 0, options);
+    ExpectPointsIdentical(streamed, materialized);
+  }
 }
 
 TEST(SweepStreamTest, ShardSizeDoesNotChangeResults) {
@@ -149,9 +156,9 @@ TEST(SweepStreamTest, StreamedGlobalIdsAreDense) {
   }
 }
 
-// Policy whose instances throw on the Nth simulated app; exercises the
-// pipeline's unwind path (queued prefetch tasks must not touch destroyed
-// slots — ASan would flag the use-after-free this test guards against).
+// Policy whose instances throw on every simulated app; the engine must
+// propagate the exception out of the shard's simulation region and unwind
+// its recycled arena cleanly (ASan would flag a use-after-free).
 class ThrowingPolicy final : public KeepAlivePolicy {
  public:
   void RecordIdleTime(Duration) override {}
@@ -179,18 +186,16 @@ TEST(SweepStreamTest, PolicyExceptionPropagatesAndPipelineUnwindsCleanly) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     SimulatorOptions options;
     options.num_threads = threads;
-    StreamingSweepOptions stream;
-    stream.max_resident_shards = 3;
-    EXPECT_THROW(
-        EvaluatePoliciesStreamed(source, factories, 0, options, stream),
-        std::runtime_error);
+    EXPECT_THROW(EvaluatePoliciesStreamed(source, factories, 0, options),
+                 std::runtime_error);
   }
 }
 
 TEST(SweepStreamTest, StreamedSweepWithConcurrentChaosReplay) {
   // The check.sh ASan leg's smoke: a fault plan drives a cluster replay on
-  // one thread while the streamed sweep rotates shard arenas on others, so
-  // leaks or races in arena recycling surface under an active fault plan.
+  // one thread while the streamed sweep builds and recycles its shard arena
+  // on others, so leaks or races in arena recycling surface under an active
+  // fault plan.
   GeneratorConfig config = SmallConfig();
   config.num_apps = 80;
   WorkloadGenerator gen(config);

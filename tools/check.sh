@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite, then the concurrency
-# tests (thread pool, parallel-for, sweep engine, streaming pipeline, shard
-# generation, arena pool, compiled trace) plus the chaos-engine, network,
+# tests (thread pool, parallel-for, sweep engine, streamed sweep, shard
+# generation and compiled trace — whose per-app materialize and merge loops
+# run on the pool — and CPU topology) plus the chaos-engine, network,
 # overload-control, and telemetry tests rebuilt and re-run under
-# ThreadSanitizer, the chaos/overload/controller/telemetry/streaming tests
-# once more under UndefinedBehaviorSanitizer, and the interning/trace/
-# cluster/streaming tests under AddressSanitizer (the intern tables hand out
-# string_views into deque storage, and the streaming sweep recycles shard
-# arenas while a chaos replay runs concurrently — ASan is the pass that
-# would catch a dangling view or a freed arena; the
+# ThreadSanitizer, the chaos/overload/controller/telemetry/streaming/
+# compiled-trace tests once more under UndefinedBehaviorSanitizer, and the
+# interning/trace/cluster/streaming tests under AddressSanitizer (the intern
+# tables hand out string_views into deque storage, and the streamed sweep
+# recycles its shard arena while a chaos replay runs concurrently — ASan is
+# the pass that would catch a dangling view or a freed arena; the
 # SweepStreamTest.StreamedSweepWithConcurrentChaosReplay smoke drives both
 # at once).  The serving leg (wire codec, timer wheel, latency recorder, and
 # the live loopback suite with its multi-loop epoll threads and graceful
@@ -71,7 +72,7 @@ else
   cmake -B build-tsan -S . -DFAAS_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target \
       thread_pool_test parallel_test sweep_test sweep_stream_test \
-      generator_shard_test arena_pool_test cpu_topology_test \
+      generator_shard_test cpu_topology_test \
       compiled_trace_test faults_test network_test overload_test \
       controller_test telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test \
@@ -80,7 +81,7 @@ else
   # gtest_discover_tests registers suite names (not target names), so match
   # the suites those binaries contain.
   (cd build-tsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'ThreadPool|ParallelFor|ParallelSimulation|Sweep|SweepStream|GeneratorShard|ArenaPool|CpuTopology|CompiledTrace|CompiledReplay|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger')
+      -R 'ThreadPool|ParallelFor|ParallelSimulation|Sweep|SweepStream|GeneratorShard|CpuTopology|CompiledTrace|CompiledReplay|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger')
 fi
 
 if [[ "${SKIP_UBSAN}" == "1" ]]; then
@@ -90,12 +91,12 @@ else
   cmake -B build-ubsan -S . -DFAAS_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "${JOBS}" --target \
       faults_test network_test overload_test controller_test cluster_test \
-      sweep_stream_test generator_shard_test \
+      sweep_stream_test generator_shard_test compiled_trace_test \
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test resource_ledger_test \
       series_test arima_model_test auto_arima_test nelder_mead_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -105,7 +106,7 @@ else
   cmake -B build-asan -S . -DFAAS_SANITIZE=address >/dev/null
   cmake --build build-asan -j "${JOBS}" --target \
       intern_test trace_csv_test transform_test compiled_trace_test \
-      sweep_test sweep_stream_test generator_shard_test arena_pool_test \
+      sweep_test sweep_stream_test generator_shard_test \
       faults_test network_test controller_test cluster_test overload_test \
       telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
@@ -113,9 +114,9 @@ else
       series_test arima_model_test auto_arima_test nelder_mead_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
-  # fault plan runs while the streamed sweep rotates shard arenas.
+  # fault plan runs while the streamed sweep recycles its shard arena.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|ArenaPool|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
 fi
 
 echo "== all checks passed =="

@@ -27,7 +27,7 @@
 //                [--gen-rate-cap R=4000]
 //   pareto_sweep --trace DIR [--skip-malformed]
 // common flags:
-//   [--threads N=0] [--shard-apps N=128] [--max-resident-shards K=2]
+//   [--threads N=0] [--shard-apps N=128]
 //   [--use-exec-times] [--weight-by-memory]
 //   [--cost-gb-s X=1.66667e-5]   dollars per GB-second of residency
 //   [--cost-cpu-s X=0]           dollars per CPU-second executed
@@ -85,7 +85,6 @@ int main(int argc, char** argv) {
         "                    [--gen-rate-cap R]\n"
         "       pareto_sweep --trace DIR [--skip-malformed]\n"
         "common:             [--threads N] [--shard-apps N]\n"
-        "                    [--max-resident-shards K]\n"
         "                    [--use-exec-times] [--weight-by-memory]\n"
         "                    [--cost-gb-s X] [--cost-cpu-s X]\n"
         "                    [--cost-invoke X] [--out FILE]\n");
@@ -102,13 +101,9 @@ int main(int argc, char** argv) {
   options.weight_by_memory = flags.GetBool("weight-by-memory", false);
   options.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   const int shard_apps = static_cast<int>(flags.GetInt("shard-apps", 128));
-  StreamingSweepOptions stream;
-  stream.max_resident_shards =
-      static_cast<int>(flags.GetInt("max-resident-shards", 2));
-  if (options.num_threads < 0 || shard_apps <= 0 ||
-      stream.max_resident_shards <= 0) {
-    std::fprintf(stderr, "--threads must be >= 0; --shard-apps and "
-                         "--max-resident-shards must be positive\n");
+  if (options.num_threads < 0 || shard_apps <= 0) {
+    std::fprintf(stderr,
+                 "--threads must be >= 0; --shard-apps must be positive\n");
     return 2;
   }
 
@@ -150,7 +145,8 @@ int main(int argc, char** argv) {
     config.instants_rate_cap_per_day = flags.GetDouble("gen-rate-cap", 4000.0);
     config.flash_crowd_count = 0;  // GeneratorShardSource requirement.
     generator = std::make_unique<WorkloadGenerator>(config);
-    source = std::make_unique<GeneratorShardSource>(*generator, shard_apps);
+    source = std::make_unique<GeneratorShardSource>(*generator, shard_apps,
+                                                    options.num_threads);
     std::printf("generator: %d sampled apps, %d days, seed %llu "
                 "(streamed; full trace never materialized)\n",
                 config.num_apps, config.days,
@@ -168,15 +164,14 @@ int main(int argc, char** argv) {
                 trace.apps.size(),
                 static_cast<long long>(trace.TotalInvocations()),
                 static_cast<int>(trace.horizon.days()));
-    source = std::make_unique<TraceShardSource>(trace, shard_apps);
+    source = std::make_unique<TraceShardSource>(trace, shard_apps,
+                                                options.num_threads);
   }
 
-  std::printf("sweep: %zu policy points, %d shards of %d apps, <=%d "
-              "resident\n",
-              factories.size(), source->num_shards(), shard_apps,
-              stream.max_resident_shards);
+  std::printf("sweep: %zu policy points, %d shards of %d apps\n",
+              factories.size(), source->num_shards(), shard_apps);
   const std::vector<PolicyPoint> points = EvaluatePoliciesStreamed(
-      *source, factories, /*baseline_index=*/0, options, stream);
+      *source, factories, /*baseline_index=*/0, options);
 
   std::vector<ParetoPoint> pareto;
   pareto.reserve(points.size());

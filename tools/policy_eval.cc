@@ -22,13 +22,11 @@
 //                            sweep engine instead of materializing it; with
 //                            --gen-apps the full trace is never built at
 //                            all (shards come straight from the generator)
-//   --shard-apps N=1024      apps per shard
-//   --max-resident-shards    bound on shard arenas resident at once
-//         K=2                (generation of shard k+1 overlaps simulation
-//                            of shard k when K >= 2 and --threads > 1)
+//   --shard-apps N=1024      apps per shard; each shard is generated and
+//                            compiled on --threads threads, then simulated
 // Streamed results are byte-identical to the materialized sweep at any
-// shard size, residency bound and thread count.  Streaming is incompatible
-// with chaos/overload mode, telemetry exports and --flash-crowds.
+// shard size and thread count.  Streaming is incompatible with
+// chaos/overload mode, telemetry exports and --flash-crowds.
 // Every run ends with a "peak rss" line (getrusage high-water mark).
 //
 // Telemetry (works in both sweep and chaos mode; all optional):
@@ -796,7 +794,6 @@ int main(int argc, char** argv) {
         "                   [--gen-days D=14] [--gen-seed S=42]\n"
         "                   [--gen-rate-cap R=8000]\n"
         "                   [--stream] [--shard-apps N=1024]\n"
-        "                   [--max-resident-shards K=2]\n"
         "                   [--policies fixed-10,hybrid,...]\n"
         "                   [--range-minutes N=240] [--cv T=2]\n"
         "                   [--head P=5] [--tail P=99]\n"
@@ -836,6 +833,11 @@ int main(int argc, char** argv) {
     return flags.Has("help") ? 0 : 2;
   }
 
+  const int threads = static_cast<int>(flags.GetInt("threads", 0));
+  if (threads < 0) {
+    std::fprintf(stderr, "--threads must be >= 0\n");
+    return 2;
+  }
   const bool stream = flags.GetBool("stream", false);
   const bool gen_mode = flags.Has("gen-apps");
   if (gen_mode && flags.Has("trace")) {
@@ -879,7 +881,7 @@ int main(int argc, char** argv) {
                 gen_config.instants_rate_cap_per_day,
                 stream ? " (streamed; full trace never materialized)" : "");
     if (!stream) {
-      trace = generator->Generate();
+      trace = generator->Generate(threads);
     }
   } else {
     CsvReadOptions read_options;
@@ -957,11 +959,7 @@ int main(int argc, char** argv) {
   SimulatorOptions options;
   options.use_execution_times = flags.GetBool("use-exec-times", false);
   options.weight_by_memory = flags.GetBool("weight-by-memory", false);
-  options.num_threads = static_cast<int>(flags.GetInt("threads", 0));
-  if (options.num_threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0\n");
-    return 2;
-  }
+  options.num_threads = threads;
 
   std::vector<const PolicyFactory*> factories;
   for (const auto& factory : owned) {
@@ -1012,27 +1010,21 @@ int main(int argc, char** argv) {
   std::vector<PolicyPoint> points;
   if (stream) {
     const int shard_apps = static_cast<int>(flags.GetInt("shard-apps", 1024));
-    const int max_resident =
-        static_cast<int>(flags.GetInt("max-resident-shards", 2));
-    if (shard_apps <= 0 || max_resident <= 0) {
-      std::fprintf(stderr,
-                   "--shard-apps and --max-resident-shards must be "
-                   "positive\n");
+    if (shard_apps <= 0) {
+      std::fprintf(stderr, "--shard-apps must be positive\n");
       return 2;
     }
     std::unique_ptr<ShardSource> source;
     if (gen_mode) {
-      source = std::make_unique<GeneratorShardSource>(*generator, shard_apps);
+      source = std::make_unique<GeneratorShardSource>(*generator, shard_apps,
+                                                      threads);
     } else {
-      source = std::make_unique<TraceShardSource>(trace, shard_apps);
+      source = std::make_unique<TraceShardSource>(trace, shard_apps, threads);
     }
-    StreamingSweepOptions stream_options;
-    stream_options.max_resident_shards = max_resident;
-    std::printf("streaming sweep: %d shards of %d apps, <=%d resident\n",
-                source->num_shards(), shard_apps, max_resident);
+    std::printf("streaming sweep: %d shards of %d apps\n",
+                source->num_shards(), shard_apps);
     points = EvaluatePoliciesStreamed(*source, factories,
-                                      /*baseline_index=*/0, options,
-                                      stream_options);
+                                      /*baseline_index=*/0, options);
     if (!points.empty()) {
       std::printf("streamed: %zu surviving apps, %lld invocations\n",
                   points[0].result.apps.size(),
