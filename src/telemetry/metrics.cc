@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 
 #include "src/common/logging.h"
 
@@ -24,6 +25,11 @@ struct ShardCacheEntry {
 };
 constexpr size_t kMaxShardCacheEntries = 8;
 thread_local std::vector<ShardCacheEntry> t_shard_cache;
+
+// Histogram sums are fixed point with 64 fractional bits.  Scaling by a
+// power of two is exact; the conversion truncates bits below 2^-64.
+constexpr double kSumScale = 0x1p64;
+constexpr double kMaxObservation = 0x1p62;
 
 }  // namespace
 
@@ -250,9 +256,12 @@ void MetricsRegistry::Observe(HistogramId id, double value) {
   const std::vector<double>& edges = *cell.edges;
   const size_t bucket = static_cast<size_t>(
       std::upper_bound(edges.begin(), edges.end(), value) - edges.begin());
+  FAAS_CHECK(std::fabs(value) < kMaxObservation)
+      << "histogram observation out of range: " << value;
   ++cell.counts[bucket];
   ++cell.observations;
-  cell.sum += value;
+  cell.sum += static_cast<unsigned __int128>(
+      static_cast<__int128>(value * kSumScale));
 }
 
 void MetricsRegistry::SeriesAdd(SeriesId id, TimePoint at, int64_t delta) {
@@ -339,16 +348,22 @@ RegistrySnapshot MetricsRegistry::Scrape() const {
       case MetricKind::kHistogram:
         metric.edges = *definition.edges;
         metric.counts.assign(definition.edges->size() + 1, 0);
-        for (const std::unique_ptr<Shard>& shard : shards_) {
-          if (slot >= shard->histograms.size()) {
-            continue;
+        {
+          unsigned __int128 sum = 0;
+          for (const std::unique_ptr<Shard>& shard : shards_) {
+            if (slot >= shard->histograms.size()) {
+              continue;
+            }
+            const HistogramCell& cell = shard->histograms[slot];
+            for (size_t i = 0; i < cell.counts.size(); ++i) {
+              metric.counts[i] += cell.counts[i];
+            }
+            metric.observations += cell.observations;
+            sum += cell.sum;
           }
-          const HistogramCell& cell = shard->histograms[slot];
-          for (size_t i = 0; i < cell.counts.size(); ++i) {
-            metric.counts[i] += cell.counts[i];
-          }
-          metric.observations += cell.observations;
-          metric.sum += cell.sum;
+          // One rounding, of the exact total, whatever the shard split.
+          metric.sum = static_cast<double>(static_cast<__int128>(sum)) /
+                       kSumScale;
         }
         break;
       case MetricKind::kSeries:

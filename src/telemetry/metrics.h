@@ -25,7 +25,9 @@
 // Merge semantics are order-independent so the snapshot is bit-identical
 // at any thread count: counters, histogram buckets, and series bins add;
 // gauges keep the sample with the latest simulation timestamp (ties resolve
-// to the larger value).
+// to the larger value).  Histogram sums accumulate in 128-bit fixed point
+// (units of 2^-64), so they add exactly and no shard split can change the
+// rounding; each observation must lie within +/-2^62.
 //
 // Metric kinds:
 //   Counter    monotonically increasing int64.
@@ -167,7 +169,9 @@ class MetricsRegistry {
     std::shared_ptr<const std::vector<double>> edges;
     std::vector<int64_t> counts;  // edges->size() + 1
     int64_t observations = 0;
-    double sum = 0.0;
+    // Fixed point in units of 2^-64; unsigned so adds wrap instead of
+    // overflowing (the total is read back as signed).
+    unsigned __int128 sum = 0;
   };
   struct SeriesCell {
     int64_t bin_width_ms = 0;

@@ -1,7 +1,11 @@
 #include "src/sim/compiled_trace.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,6 +16,38 @@
 #include "src/workload/generator.h"
 
 namespace faas {
+
+// gtest names each case of CompiledReplayEquivalenceTest after its printed
+// parameter, and its default printer dumps the object bytes, padding
+// included, which hold whatever the stack held.  Print the same dump with
+// the padding zeroed so the case names are stable from build to build.
+void PrintTo(const SimulatorOptions& options, std::ostream* os) {
+  static_assert(sizeof(SimulatorOptions) == 24,
+                "SimulatorOptions changed: update the fields below");
+  unsigned char bytes[sizeof(SimulatorOptions)] = {};
+  const auto put = [&bytes](size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(SimulatorOptions, count_tail_residency),
+      options.count_tail_residency);
+  put(offsetof(SimulatorOptions, use_execution_times),
+      options.use_execution_times);
+  put(offsetof(SimulatorOptions, weight_by_memory), options.weight_by_memory);
+  put(offsetof(SimulatorOptions, num_threads), options.num_threads);
+  put(offsetof(SimulatorOptions, track_hourly), options.track_hourly);
+  put(offsetof(SimulatorOptions, telemetry), options.telemetry);
+  *os << sizeof bytes << "-byte object <";
+  for (size_t i = 0; i < sizeof bytes; ++i) {
+    if (i != 0) {
+      *os << (i % 2 == 0 ? ' ' : '-');
+    }
+    char hex[3];
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
+
 namespace {
 
 Trace MakeSeededTrace() {
