@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -55,32 +56,17 @@ Controller::Controller(EventQueue* queue, std::vector<Invoker*> invokers,
       collect_latencies_(collect_latencies),
       load_balancing_(load_balancing),
       retry_(retry),
-      overload_(overload),
+      overload_(CheckOverloadConfig(overload)),
       instruments_(instruments),
       rpc_(rpc),
-      hedge_latency_(overload.hedge.latency_percentile > 0.0
-                         ? overload.hedge.latency_percentile / 100.0
-                         : 0.99) {
+      admission_queue_(overload_.admission),
+      hedge_(overload_.hedge, /*tick_ns=*/1'000'000) {
   FAAS_CHECK(queue_ != nullptr) << "controller needs an event queue";
   FAAS_CHECK(entities_ != nullptr) << "controller needs an entity index";
   FAAS_CHECK(!invokers_.empty()) << "controller needs at least one invoker";
   FAAS_CHECK(retry_.max_retries >= 0) << "negative retry budget";
-  FAAS_CHECK(overload_.admission.capacity >= 0) << "negative queue capacity";
-  FAAS_CHECK(overload_.hedge.latency_percentile >= 0.0 &&
-             overload_.hedge.latency_percentile < 100.0)
-      << "hedge percentile out of [0, 100)";
   if (overload_.breaker.enabled) {
-    FAAS_CHECK(overload_.breaker.window > 0 &&
-               overload_.breaker.min_samples > 0 &&
-               overload_.breaker.half_open_probes > 0)
-        << "breaker window/samples/probes must be positive";
-    FAAS_CHECK(overload_.breaker.failure_threshold > 0.0 &&
-               overload_.breaker.failure_threshold <= 1.0)
-        << "breaker failure threshold out of (0, 1]";
-    breakers_.resize(invokers_.size());
-    for (BreakerState& breaker : breakers_) {
-      breaker.outcomes.assign(overload_.breaker.window, 0);
-    }
+    breakers_.assign(invokers_.size(), CircuitBreaker(overload_.breaker));
   }
   for (Invoker* invoker : invokers_) {
     if (rpc_ != nullptr) {
@@ -211,13 +197,15 @@ Controller::DispatchOutcome Controller::Dispatch(
       saw_unhealthy = true;
       return false;
     }
-    if (!BreakerAdmits(index)) {
+    if (!breakers_.empty() && !breakers_[index].Admits()) {
       ++overload_ledger_.breaker_rejections;
       IncCounter(&ClusterInstruments::breaker_rejected);
       return false;
     }
     if (invokers_[index]->HandleActivation(message)) {
-      NoteDispatchAccepted(index);
+      if (!breakers_.empty()) {
+        breakers_[index].NoteDispatch();
+      }
       if (accepted_invoker != nullptr) {
         *accepted_invoker = static_cast<int>(index);
       }
@@ -482,7 +470,7 @@ void Controller::AdvanceNetworkScan(int64_t activation_id) {
       pending.net_saw_unhealthy = true;
       continue;
     }
-    if (!BreakerAdmits(index)) {
+    if (!breakers_.empty() && !breakers_[index].Admits()) {
       ++overload_ledger_.breaker_rejections;
       IncCounter(&ClusterInstruments::breaker_rejected);
       continue;
@@ -508,10 +496,10 @@ void Controller::AdvanceNetworkScan(int64_t activation_id) {
 
 void Controller::OnNetDispatchResponse(int64_t activation_id, int invoker,
                                        bool accepted) {
-  if (accepted) {
+  if (accepted && !breakers_.empty()) {
     // Half-open probe accounting happens when the controller LEARNS of the
     // accept (the response), not when the invoker accepted.
-    NoteDispatchAccepted(static_cast<size_t>(invoker));
+    breakers_[static_cast<size_t>(invoker)].NoteDispatch();
   }
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
@@ -530,7 +518,9 @@ void Controller::OnNetDispatchResponse(int64_t activation_id, int invoker,
     // Drain probe landed: the head leaves the admission queue.
     pending.queued = false;
     pending.shed_event.Cancel();
-    std::erase(admission_queue_, activation_id);
+    admission_queue_.EraseIf([activation_id](int64_t id) {
+      return id == activation_id;
+    });
     const double wait_ms =
         (queue_->now() - pending.queued_since).seconds() * 1e3;
     ++overload_ledger_.drained;
@@ -554,7 +544,11 @@ void Controller::OnNetDispatchGiveUp(int64_t activation_id, int invoker) {
   // is a bad outcome for the LINK, fed to the invoker's breaker whether or
   // not the activation still exists — repeated give-ups open the breaker
   // and keep later scans off the unreachable invoker.
-  RecordInvokerOutcome(invoker, /*bad=*/true);
+  if (!breakers_.empty()) {
+    ApplyBreakerStep(static_cast<size_t>(invoker),
+                     breakers_[static_cast<size_t>(invoker)].RecordOutcome(
+                         /*bad=*/true, NowNs(), overload_ledger_));
+  }
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
     NetScanEnded(activation_id, /*reprobe_drain=*/true);
@@ -609,24 +603,11 @@ void Controller::ProbeAdmissionHead() {
   if (net_drain_id_ != 0) {
     return;  // A head probe is already walking the cluster.
   }
-  const bool lifo =
-      overload_.admission.discipline == AdmissionDiscipline::kLifo;
-  while (!admission_queue_.empty()) {
-    const int64_t id =
-        lifo ? admission_queue_.back() : admission_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.queued) {
-      if (lifo) {
-        admission_queue_.pop_back();
-      } else {
-        admission_queue_.pop_front();
-      }
-      continue;  // Superseded (shed, timed out, or retried).
-    }
+  const auto it = LiveAdmissionHead();
+  if (it != pending_.end()) {
     // The head stays in the deque while probing; acceptance erases it.
-    net_drain_id_ = id;
-    StartNetworkScan(id, /*exclude_invoker=*/-1);
-    return;
+    net_drain_id_ = it->first;
+    StartNetworkScan(it->first, /*exclude_invoker=*/-1);
   }
 }
 
@@ -751,7 +732,11 @@ void Controller::OnFailure(const FailureMessage& message) {
   // Breakers learn from every failure the invoker reports, including those
   // of superseded attempts: the signal is about the invoker, not the
   // activation.
-  RecordInvokerOutcome(message.invoker_id, /*bad=*/true);
+  if (!breakers_.empty()) {
+    const auto invoker = static_cast<size_t>(message.invoker_id);
+    ApplyBreakerStep(invoker, breakers_[invoker].RecordOutcome(
+                                  /*bad=*/true, NowNs(), overload_ledger_));
+  }
   auto it = pending_.find(message.activation_id);
   if (it == pending_.end()) {
     return;  // A superseded (already retried / timed-out) attempt.
@@ -781,10 +766,10 @@ void Controller::OnCompletion(const CompletionMessage& message) {
     // A completion slower than the latency threshold counts as a bad
     // outcome (latency-tripped breakers); otherwise it is a good one that
     // heals the window.
-    const bool bad = overload_.breaker.latency_threshold_ms > 0.0 &&
-                     message.total_latency.seconds() * 1e3 >
-                         overload_.breaker.latency_threshold_ms;
-    RecordInvokerOutcome(message.invoker_id, bad);
+    const auto invoker = static_cast<size_t>(message.invoker_id);
+    ApplyBreakerStep(invoker, breakers_[invoker].RecordCompletion(
+                                  message.total_latency.seconds() * 1e3,
+                                  NowNs(), overload_ledger_));
   }
   auto pending_it = pending_.find(message.activation_id);
   if (pending_it == pending_.end()) {
@@ -811,7 +796,7 @@ void Controller::OnCompletion(const CompletionMessage& message) {
   }
   pending_it->second.hedge_event.Cancel();
   if (overload_.hedge.enabled()) {
-    hedge_latency_.Add(
+    hedge_.Observe(
         (queue_->now() - pending_it->second.created_at).seconds() * 1e3);
   }
   const int attempts = pending_it->second.attempts;
@@ -930,21 +915,9 @@ void Controller::DrainAdmissionQueue() {
     ProbeAdmissionHead();
     return;
   }
-  const bool lifo =
-      overload_.admission.discipline == AdmissionDiscipline::kLifo;
-  while (!admission_queue_.empty()) {
-    const int64_t id =
-        lifo ? admission_queue_.back() : admission_queue_.front();
-    auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.queued) {
-      // Superseded (shed, timed out, or retried under a fresh id).
-      if (lifo) {
-        admission_queue_.pop_back();
-      } else {
-        admission_queue_.pop_front();
-      }
-      continue;
-    }
+  for (auto it = LiveAdmissionHead(); it != pending_.end();
+       it = LiveAdmissionHead()) {
+    const int64_t id = it->first;
     // The activation already paid its controller->invoker hop before it was
     // parked, so drains dispatch directly.
     AppState& state = apps_[it->second.app_id.index()];
@@ -954,11 +927,7 @@ void Controller::DrainAdmissionQueue() {
         DispatchOutcome::kAccepted) {
       return;  // Still no room: wait for the next release.
     }
-    if (lifo) {
-      admission_queue_.pop_back();
-    } else {
-      admission_queue_.pop_front();
-    }
+    admission_queue_.PopNext();
     PendingActivation& pending = it->second;
     pending.queued = false;
     pending.shed_event.Cancel();
@@ -979,8 +948,20 @@ void Controller::DrainAdmissionQueue() {
   }
 }
 
+Controller::PendingMap::iterator Controller::LiveAdmissionHead() {
+  while (!admission_queue_.empty()) {
+    auto it = pending_.find(admission_queue_.Next());
+    if (it != pending_.end() && it->second.queued) {
+      return it;
+    }
+    // Superseded (shed, timed out, or retried under a fresh id).
+    admission_queue_.PopNext();
+  }
+  return pending_.end();
+}
+
 void Controller::CompactAdmissionQueue() {
-  std::erase_if(admission_queue_, [this](int64_t id) {
+  admission_queue_.EraseIf([this](int64_t id) {
     auto it = pending_.find(id);
     return it == pending_.end() || !it->second.queued;
   });
@@ -989,30 +970,23 @@ void Controller::CompactAdmissionQueue() {
 void Controller::EnqueueAdmission(int64_t activation_id) {
   auto it = pending_.find(activation_id);
   FAAS_CHECK(it != pending_.end()) << "queueing an unknown activation";
-  if (static_cast<int>(admission_queue_.size()) >=
-      overload_.admission.capacity) {
+  if (admission_queue_.full()) {
     CompactAdmissionQueue();
   }
-  if (static_cast<int>(admission_queue_.size()) >=
-      overload_.admission.capacity) {
-    if (overload_.admission.discipline == AdmissionDiscipline::kLifo) {
-      // LIFO sheds the oldest queued activation to admit the newcomer
-      // (fresh requests are the ones a caller is still waiting on).
-      const int64_t victim = admission_queue_.front();
-      admission_queue_.pop_front();
-      ShedActivation(victim, ShedReason::kQueueFull);
-    } else {
-      // FIFO/CoDel tail-drop the arrival.
+  if (admission_queue_.full()) {
+    const std::optional<int64_t> victim = admission_queue_.ShedForArrival();
+    if (!victim.has_value()) {
       ShedActivation(activation_id, ShedReason::kQueueFull);
       return;
     }
+    ShedActivation(*victim, ShedReason::kQueueFull);
   }
   PendingActivation& pending = it->second;
   pending.queued = true;
   pending.queued_since = queue_->now();
   ++overload_ledger_.queued;
   IncCounter(&ClusterInstruments::queued);
-  admission_queue_.push_back(activation_id);
+  admission_queue_.Push(activation_id);
   if (overload_.admission.discipline == AdmissionDiscipline::kCoDel) {
     pending.shed_event = queue_->ScheduleAfter(
         overload_.admission.max_wait, [this, activation_id]() {
@@ -1067,20 +1041,6 @@ void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
 
 // --- Hedged dispatch -------------------------------------------------------
 
-Duration Controller::HedgeDelay() const {
-  const HedgeConfig& hedge = overload_.hedge;
-  // The percentile trigger needs a latency population before the estimate
-  // means anything; until then fall back to the fixed delay (or the floor).
-  if (hedge.latency_percentile > 0.0 && hedge_latency_.count() >= 32) {
-    const auto ms = static_cast<int64_t>(hedge_latency_.Value());
-    return std::max(hedge.min_after, Duration::Millis(ms));
-  }
-  if (hedge.after > Duration::Zero()) {
-    return hedge.after;
-  }
-  return hedge.min_after;
-}
-
 void Controller::MaybeArmHedge(int64_t activation_id) {
   if (!overload_.hedge.enabled()) {
     return;
@@ -1095,7 +1055,8 @@ void Controller::MaybeArmHedge(int64_t activation_id) {
   }
   pending.hedge_event.Cancel();
   pending.hedge_event = queue_->ScheduleAfter(
-      HedgeDelay(), [this, activation_id]() { LaunchHedge(activation_id); });
+      Duration::Millis(hedge_.DelayNs() / 1'000'000),
+      [this, activation_id]() { LaunchHedge(activation_id); });
 }
 
 void Controller::LaunchHedge(int64_t primary_id) {
@@ -1164,126 +1125,26 @@ void Controller::LaunchHedge(int64_t primary_id) {
 
 // --- Circuit breakers ------------------------------------------------------
 
-bool Controller::BreakerAdmits(size_t invoker) const {
-  if (breakers_.empty()) {
-    return true;
-  }
-  const BreakerState& breaker = breakers_[invoker];
-  switch (breaker.mode) {
-    case BreakerMode::kClosed:
-      return true;
-    case BreakerMode::kOpen:
-      return false;
-    case BreakerMode::kHalfOpen:
-      return breaker.half_open_inflight < overload_.breaker.half_open_probes;
-  }
-  return true;
-}
-
-void Controller::NoteDispatchAccepted(size_t invoker) {
-  if (breakers_.empty()) {
-    return;
-  }
-  BreakerState& breaker = breakers_[invoker];
-  if (breaker.mode == BreakerMode::kHalfOpen) {
-    ++breaker.half_open_inflight;
-  }
-}
-
-void Controller::RecordInvokerOutcome(int invoker, bool bad) {
-  if (breakers_.empty() || invoker < 0 ||
-      static_cast<size_t>(invoker) >= breakers_.size()) {
-    return;
-  }
-  BreakerState& breaker = breakers_[static_cast<size_t>(invoker)];
-  switch (breaker.mode) {
-    case BreakerMode::kClosed: {
-      const int window = overload_.breaker.window;
-      if (breaker.window_count < window) {
-        ++breaker.window_count;
-      } else {
-        breaker.bad_count -= breaker.outcomes[breaker.window_pos];
-      }
-      breaker.outcomes[breaker.window_pos] = bad ? 1 : 0;
-      breaker.bad_count += bad ? 1 : 0;
-      breaker.window_pos = (breaker.window_pos + 1) % window;
-      if (breaker.window_count >= overload_.breaker.min_samples &&
-          static_cast<double>(breaker.bad_count) >=
-              overload_.breaker.failure_threshold *
-                  static_cast<double>(breaker.window_count)) {
-        OpenBreaker(static_cast<size_t>(invoker));
-      }
-      break;
-    }
-    case BreakerMode::kHalfOpen:
-      if (breaker.half_open_inflight > 0) {
-        --breaker.half_open_inflight;
-      }
-      if (bad) {
-        OpenBreaker(static_cast<size_t>(invoker));
-      } else if (++breaker.half_open_good >=
-                 overload_.breaker.half_open_probes) {
-        CloseBreaker(static_cast<size_t>(invoker));
-      }
-      break;
-    case BreakerMode::kOpen:
-      break;  // Straggler outcome from before the trip.
-  }
-}
-
-void Controller::OpenBreaker(size_t invoker) {
-  BreakerState& breaker = breakers_[invoker];
-  breaker.mode = BreakerMode::kOpen;
-  if (!breaker.degraded) {
-    // Degraded-mode interval: from the first departure from closed until
-    // the breaker closes again (re-opens extend the same interval).
-    breaker.degraded = true;
-    breaker.degraded_since = queue_->now();
-  }
-  ++overload_ledger_.breaker_opens;
-  IncCounter(&ClusterInstruments::breaker_opens);
-  RecordInstant(SpanName::kBreakerTransition, static_cast<int64_t>(invoker),
-                /*arg0=*/1);
-  // The next closed phase starts with a fresh window.
-  std::fill(breaker.outcomes.begin(), breaker.outcomes.end(), 0);
-  breaker.window_pos = 0;
-  breaker.window_count = 0;
-  breaker.bad_count = 0;
-  breaker.half_open_inflight = 0;
-  breaker.half_open_good = 0;
-  breaker.half_open_event.Cancel();
-  breaker.half_open_event =
-      queue_->ScheduleAfter(overload_.breaker.open_duration,
-                            [this, invoker]() { HalfOpenBreaker(invoker); });
-}
-
-void Controller::HalfOpenBreaker(size_t invoker) {
-  BreakerState& breaker = breakers_[invoker];
-  if (breaker.mode != BreakerMode::kOpen) {
-    return;
-  }
-  breaker.mode = BreakerMode::kHalfOpen;
-  breaker.half_open_inflight = 0;
-  breaker.half_open_good = 0;
-  ++overload_ledger_.breaker_half_opens;
-  RecordInstant(SpanName::kBreakerTransition, static_cast<int64_t>(invoker),
-                /*arg0=*/2);
-}
-
-void Controller::CloseBreaker(size_t invoker) {
-  BreakerState& breaker = breakers_[invoker];
-  breaker.mode = BreakerMode::kClosed;
-  ++overload_ledger_.breaker_closes;
-  RecordInstant(SpanName::kBreakerTransition, static_cast<int64_t>(invoker),
-                /*arg0=*/0);
-  if (breaker.degraded) {
-    breaker.degraded = false;
-    const double degraded_ms =
-        (queue_->now() - breaker.degraded_since).seconds() * 1e3;
-    ++overload_ledger_.breaker_open_intervals;
-    overload_ledger_.total_breaker_open_ms += degraded_ms;
-    overload_ledger_.max_breaker_open_ms =
-        std::max(overload_ledger_.max_breaker_open_ms, degraded_ms);
+void Controller::ApplyBreakerStep(size_t invoker, const BreakerStep& step) {
+  const auto id = static_cast<int64_t>(invoker);
+  switch (step.change) {
+    case BreakerStep::Change::kNone:
+      return;
+    case BreakerStep::Change::kOpened:
+      IncCounter(&ClusterInstruments::breaker_opens);
+      RecordInstant(SpanName::kBreakerTransition, id, /*arg0=*/1);
+      queue_->Schedule(TimePoint(step.half_open_at_ns / 1'000'000),
+                       [this, invoker, id, epoch = step.epoch]() {
+                         if (breakers_[invoker].HalfOpen(epoch,
+                                                         overload_ledger_)) {
+                           RecordInstant(SpanName::kBreakerTransition, id,
+                                         /*arg0=*/2);
+                         }
+                       });
+      return;
+    case BreakerStep::Change::kClosed:
+      RecordInstant(SpanName::kBreakerTransition, id, /*arg0=*/0);
+      return;
   }
 }
 
@@ -1292,28 +1153,17 @@ void Controller::FinalizeOverload() {
     return;
   }
   // Activations still parked when the replay ends were never served.
-  while (!admission_queue_.empty()) {
-    const int64_t id = admission_queue_.front();
-    admission_queue_.pop_front();
+  for (const int64_t id : admission_queue_) {
     auto it = pending_.find(id);
-    if (it == pending_.end() || !it->second.queued) {
-      continue;
+    if (it != pending_.end() && it->second.queued) {
+      ShedActivation(id, ShedReason::kShutdown);
     }
-    ShedActivation(id, ShedReason::kShutdown);
   }
+  admission_queue_.clear();
   // A breaker still away from closed has an open-ended degraded interval;
   // close it at the end of the replay so the ledger accounts for it.
-  for (BreakerState& breaker : breakers_) {
-    if (!breaker.degraded) {
-      continue;
-    }
-    breaker.degraded = false;
-    const double degraded_ms =
-        (queue_->now() - breaker.degraded_since).seconds() * 1e3;
-    ++overload_ledger_.breaker_open_intervals;
-    overload_ledger_.total_breaker_open_ms += degraded_ms;
-    overload_ledger_.max_breaker_open_ms =
-        std::max(overload_ledger_.max_breaker_open_ms, degraded_ms);
+  for (CircuitBreaker& breaker : breakers_) {
+    breaker.Shutdown(NowNs(), overload_ledger_);
   }
 }
 

@@ -17,8 +17,9 @@
 // Terminal outcomes are split by cause (memory drop / outage rejection /
 // timeout abandonment / crash loss) and recorded in a FaultLedger.
 //
-// The overload control plane (src/cluster/overload.h) layers three
-// mechanisms on top of that dispatch path, all disabled by default:
+// The overload control plane (src/cluster/overload.h, whose CircuitBreaker,
+// HedgeTrigger and AdmissionQueue the serving AdmissionBridge shares) layers
+// three mechanisms on top of that dispatch path, all disabled by default:
 // saturation parks activations in a bounded admission queue that drains on
 // container-release callbacks (instead of dropping or blind-retrying),
 // per-invoker circuit breakers deflect dispatches away from failing or slow
@@ -327,25 +328,6 @@ class Controller {
   };
   // Why a queued activation was shed (mirrors the OverloadLedger split).
   enum class ShedReason { kQueueFull, kDeadline, kShutdown };
-  // Circuit-breaker state machine, one per invoker.
-  enum class BreakerMode { kClosed, kOpen, kHalfOpen };
-
-  struct BreakerState {
-    BreakerMode mode = BreakerMode::kClosed;
-    // Rolling outcome ring (1 = bad) evaluated while closed.
-    std::vector<int8_t> outcomes;
-    int window_pos = 0;
-    int window_count = 0;
-    int bad_count = 0;
-    // Half-open probe accounting: dispatches admitted vs good outcomes.
-    int half_open_inflight = 0;
-    int half_open_good = 0;
-    // Degraded-mode interval: set when the breaker first leaves closed,
-    // cleared (and tallied) when it closes again.
-    bool degraded = false;
-    TimePoint degraded_since;
-    EventQueue::Handle half_open_event;
-  };
 
   struct AppState {
     std::unique_ptr<KeepAlivePolicy> policy;
@@ -401,6 +383,8 @@ class Controller {
     bool net_saw_giveup = false;      // A candidate's RPC spent its budget.
   };
 
+  using PendingMap = std::unordered_map<int64_t, PendingActivation>;
+
   AppState& GetOrCreateApp(AppId app_id);
   void OnCompletion(const CompletionMessage& message);
   void OnFailure(const FailureMessage& message);
@@ -454,6 +438,9 @@ class Controller {
   void ShedActivation(int64_t activation_id, ShedReason reason);
   // Drops ids whose pending entry is gone (superseded) from the deque.
   void CompactAdmissionQueue();
+  // Pops superseded ids off the served end of the queue; returns the live
+  // head's entry, or pending_.end() once the queue is empty.
+  PendingMap::iterator LiveAdmissionHead();
 
   // --- Hedged dispatch ---
   // Builds the activation message for the current attempt of `pending`.
@@ -463,21 +450,14 @@ class Controller {
   void MaybeArmHedge(int64_t activation_id);
   // Fires the second attempt for primary `activation_id` (still pending).
   void LaunchHedge(int64_t activation_id);
-  // Delay before hedging: the fixed `after` knob, or the observed
-  // end-to-end latency percentile (floored at `min_after`).
-  Duration HedgeDelay() const;
 
   // --- Circuit breakers ---
-  // True when `invoker` may receive a dispatch (closed, or half-open with
-  // probe budget left).
-  bool BreakerAdmits(size_t invoker) const;
-  // Half-open probe accounting for an accepted dispatch.
-  void NoteDispatchAccepted(size_t invoker);
-  // Feeds one completion/failure outcome into the invoker's breaker.
-  void RecordInvokerOutcome(int invoker, bool bad);
-  void OpenBreaker(size_t invoker);
-  void HalfOpenBreaker(size_t invoker);
-  void CloseBreaker(size_t invoker);
+  // Traces a breaker transition and arms the half-open timer of an open.
+  void ApplyBreakerStep(size_t invoker, const BreakerStep& step);
+  // The event queue's clock in the breakers' nanoseconds.
+  int64_t NowNs() const {
+    return queue_->now().millis_since_origin() * 1'000'000;
+  }
 
   // --- Telemetry helpers (no-ops when instruments are absent) ---
   void RecordInstant(SpanName name, int64_t trace_id, int64_t arg0 = 0);
@@ -508,7 +488,7 @@ class Controller {
   // references stable while new apps grow the array.
   std::deque<AppState> apps_;
   std::vector<AppStats> app_stats_;
-  std::unordered_map<int64_t, PendingActivation> pending_;
+  PendingMap pending_;
   // Latest policy-state checkpoint per app, parallel to `apps_`
   // (WipePolicyState restores these).
   std::vector<std::unique_ptr<PolicyStateSnapshot>> checkpoints_;
@@ -517,16 +497,15 @@ class Controller {
   // Admission queue of parked activation ids.  Superseded ids (retried or
   // shed entries) are skipped lazily, so membership is authoritative only
   // jointly with PendingActivation::queued.
-  std::deque<int64_t> admission_queue_;
+  AdmissionQueue<int64_t> admission_queue_;
   bool drain_scheduled_ = false;
   // Network-mode drain: the activation id currently probing the cluster on
   // behalf of the admission queue (0 = no probe outstanding).
   int64_t net_drain_id_ = 0;
   // Per-invoker breakers; sized only when the breaker is enabled.
-  std::vector<BreakerState> breakers_;
-  // Observed end-to-end completion latency for the percentile hedge
-  // trigger (fed only while hedging is enabled).
-  P2Quantile hedge_latency_;
+  std::vector<CircuitBreaker> breakers_;
+  // Fed end-to-end completion latency only while hedging is enabled.
+  HedgeTrigger hedge_;
   std::vector<double> queue_wait_ms_;
   int64_t total_dropped_ = 0;
   int64_t total_rejected_outage_ = 0;

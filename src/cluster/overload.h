@@ -1,15 +1,15 @@
-// Overload control plane: the knobs and the ledger.
+// Overload control plane: the knobs, the ledger, and the three mechanisms.
 //
 // The pre-overload controller had exactly two answers when every healthy
 // invoker was out of memory: drop the activation on the floor (kNoCapacity)
 // or burn retry budget spinning against a saturated fleet.  Real FaaS
 // front-ends survive flash crowds with *bounded* queues, shedding, and
 // circuit breakers instead.  This header holds the configuration for the
-// three mechanisms the controller adds —
+// three mechanisms, and the one implementation of each —
 //
-//   1. a bounded per-controller admission queue (FIFO / LIFO / CoDel-style
-//      age shedding) that activations enter when no invoker has capacity and
-//      that drains on container-release events rather than blind backoff;
+//   1. a bounded admission queue (FIFO / LIFO / CoDel-style age shedding)
+//      that activations enter when no invoker has capacity and that drains
+//      on container-release events rather than blind backoff;
 //   2. per-invoker concurrency caps and circuit breakers
 //      (closed -> open -> half-open, driven by a rolling failure + latency
 //      window, so chaos-engine crashes and latency spikes trip them);
@@ -18,6 +18,11 @@
 //
 // — plus the OverloadLedger that tallies what they did (mirroring
 // FaultLedger, comparable so determinism tests can assert bit-identity).
+// AdmissionQueue<T>, CircuitBreaker and HedgeTrigger are plain values with
+// no clock of their own: methods take `now` in int64 nanoseconds and return
+// what the caller must arm, on its own substrate — the cluster Controller's
+// EventQueue (milliseconds scaled to ns) or the serving AdmissionBridge's
+// TimerWheel.
 //
 // Disabled-by-default contract: a default OverloadControlConfig enables
 // nothing, schedules no events, draws no random numbers and registers no
@@ -27,11 +32,16 @@
 #ifndef SRC_CLUSTER_OVERLOAD_H_
 #define SRC_CLUSTER_OVERLOAD_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <optional>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/time.h"
+#include "src/stats/p2_quantile.h"
 
 namespace faas {
 
@@ -115,7 +125,16 @@ struct OverloadControlConfig {
     return admission.enabled() || breaker.enabled || hedge.enabled() ||
            invoker_concurrency_cap > 0;
   }
+
+  // Empty when every knob is usable; otherwise a one-line description of
+  // the first bad one (the tools print it as a flag error).
+  std::string Validate() const;
 };
+
+// FAAS_CHECKs `config.Validate()` and returns `config`, so constructors can
+// validate in their initializer lists before any mechanism is built.
+const OverloadControlConfig& CheckOverloadConfig(
+    const OverloadControlConfig& config);
 
 // Tally of everything the overload control plane observed during a replay.
 // Comparable so determinism tests can assert bit-identical ledgers; all-zero
@@ -186,6 +205,166 @@ struct OverloadLedger {
   }
 
   bool operator==(const OverloadLedger&) const = default;
+};
+
+enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
+
+// What a CircuitBreaker call changed.  On kOpened the caller arms its own
+// timer for `half_open_at_ns` and, when it fires, calls HalfOpen(epoch).
+struct BreakerStep {
+  enum class Change : uint8_t { kNone, kOpened, kClosed };
+  Change change = Change::kNone;
+  int64_t half_open_at_ns = 0;
+  uint32_t epoch = 0;
+};
+
+// One invoker's circuit breaker: closed -> open -> half-open -> closed.
+//
+// Closed, every outcome enters a rolling window; with at least
+// `min_samples` outcomes a bad fraction of `failure_threshold` or more opens
+// the breaker.  Open admits nothing for `open_duration`, then half-open
+// admits up to `half_open_probes` concurrent dispatches.  Half-open, ANY
+// outcome is a probe result — including a straggler dispatched before the
+// trip — so a bad one re-opens and `half_open_probes` good ones close; the
+// in-flight probe count never goes below zero.  Open ignores outcomes.
+//
+// A degraded interval runs from the first departure from closed to the next
+// close, Reset or Shutdown, and is booked into the OverloadLedger then.
+// Each open and each Reset mints a new epoch, so a half-open timer armed
+// for an earlier open is recognised as stale.
+class CircuitBreaker {
+ public:
+  explicit CircuitBreaker(const CircuitBreakerConfig& config);
+
+  BreakerState state() const { return state_; }
+
+  bool Admits() const {
+    return state_ == BreakerState::kClosed ||
+           (state_ == BreakerState::kHalfOpen &&
+            probes_inflight_ < config_.half_open_probes);
+  }
+  // A dispatch landed on the invoker; while half-open it is a probe.
+  void NoteDispatch() {
+    if (state_ == BreakerState::kHalfOpen) {
+      ++probes_inflight_;
+    }
+  }
+
+  BreakerStep RecordOutcome(bool bad, int64_t now_ns, OverloadLedger& ledger);
+  // A completion `latency_ms` long: bad when it exceeds the configured
+  // latency threshold (if any).
+  BreakerStep RecordCompletion(double latency_ms, int64_t now_ns,
+                               OverloadLedger& ledger) {
+    return RecordOutcome(config_.latency_threshold_ms > 0.0 &&
+                             latency_ms > config_.latency_threshold_ms,
+                         now_ns, ledger);
+  }
+  // The half-open timer armed for `epoch` fired.  False (and no change)
+  // when the timer is stale or the breaker is no longer open.
+  bool HalfOpen(uint32_t epoch, OverloadLedger& ledger);
+  // The invoker was rebuilt: back to a fresh closed breaker, booking any
+  // degraded interval at `now_ns` (not counted as a close) and staling
+  // armed timers.  Returns true when the breaker was open.
+  bool Reset(int64_t now_ns, OverloadLedger& ledger);
+  // End of the run: books a degraded interval still open at `now_ns`.
+  void Shutdown(int64_t now_ns, OverloadLedger& ledger) {
+    EndDegraded(now_ns, ledger);
+  }
+
+ private:
+  BreakerStep Open(int64_t now_ns, OverloadLedger& ledger);
+  void EndDegraded(int64_t now_ns, OverloadLedger& ledger);
+  void ClearWindow();
+
+  CircuitBreakerConfig config_;
+  BreakerState state_ = BreakerState::kClosed;
+  std::vector<int8_t> outcomes_;  // Rolling ring, 1 = bad.
+  int window_pos_ = 0;
+  int window_count_ = 0;
+  int bad_count_ = 0;
+  int probes_inflight_ = 0;
+  int probes_good_ = 0;
+  uint32_t epoch_ = 0;
+  bool degraded_ = false;
+  int64_t degraded_since_ns_ = 0;
+};
+
+// When to launch a hedge: after the fixed `after` delay, or once the
+// attempt outlives the observed `latency_percentile` of completion latency
+// (P-square estimate, floored at `min_after`, and only after 32 samples;
+// before that the fixed delay or the floor applies).
+class HedgeTrigger {
+ public:
+  // `tick_ns` is the caller's clock resolution: the percentile estimate is
+  // truncated to whole ticks, as a clock of that resolution would (1 ms in
+  // the simulator, 1 ns on the wall clock).
+  HedgeTrigger(const HedgeConfig& config, int64_t tick_ns);
+
+  void Observe(double latency_ms) { latency_ms_.Add(latency_ms); }
+  int64_t DelayNs() const;
+
+ private:
+  P2Quantile latency_ms_;
+  bool use_percentile_;
+  int64_t after_ns_;
+  int64_t min_after_ns_;
+  int64_t tick_ns_;
+  double ticks_per_ms_;
+};
+
+// The admission queue and its discipline: which end is served next and
+// which item a full queue gives up for an arrival.  Age shedding (CoDel
+// timers, per-request deadlines) and removal of superseded entries stay
+// with the caller, which knows what its items refer to.
+template <class T>
+class AdmissionQueue {
+ public:
+  explicit AdmissionQueue(const AdmissionQueueConfig& config)
+      : capacity_(config.capacity > 0 ? static_cast<size_t>(config.capacity)
+                                      : 0),
+        lifo_(config.discipline == AdmissionDiscipline::kLifo) {}
+
+  bool empty() const { return items_.empty(); }
+  size_t size() const { return items_.size(); }
+  bool full() const { return items_.size() >= capacity_; }
+
+  // For an arrival at a full queue.  LIFO pops and returns the OLDEST
+  // queued item, to be shed so the arrival can be pushed (fresh requests
+  // are the ones a caller still waits on); FIFO and CoDel return nullopt:
+  // the arrival itself is tail-dropped.
+  std::optional<T> ShedForArrival() {
+    if (!lifo_ || items_.empty()) {
+      return std::nullopt;
+    }
+    T oldest = std::move(items_.front());
+    items_.pop_front();
+    return oldest;
+  }
+  void Push(T item) { items_.push_back(std::move(item)); }
+
+  // The item served next: newest under LIFO, oldest otherwise.
+  T& Next() { return lifo_ ? items_.back() : items_.front(); }
+  void PopNext() {
+    if (lifo_) {
+      items_.pop_back();
+    } else {
+      items_.pop_front();
+    }
+  }
+
+  template <class Pred>
+  void EraseIf(Pred pred) {
+    std::erase_if(items_, pred);
+  }
+  void clear() { items_.clear(); }
+  // Oldest first.
+  auto begin() const { return items_.begin(); }
+  auto end() const { return items_.end(); }
+
+ private:
+  size_t capacity_;
+  bool lifo_;
+  std::deque<T> items_;
 };
 
 }  // namespace faas

@@ -1,8 +1,7 @@
 #include "src/serve/bridge.h"
 
 #include <algorithm>
-
-#include "src/serve/clock.h"
+#include <optional>
 
 namespace faas {
 namespace {
@@ -30,9 +29,8 @@ AdmissionBridge::AdmissionBridge(const AdmissionBridgeConfig& config,
       latency_(latency),
       executors_(std::max(config.num_executors, 1)),
       pool_stride_(std::max<uint32_t>(config.num_functions_hint, 1)),
-      hedge_latency_ms_(config.overload.hedge.latency_percentile > 0.0
-                            ? config.overload.hedge.latency_percentile / 100.0
-                            : 0.99),
+      queue_(CheckOverloadConfig(config.overload).admission),
+      hedge_(config.overload.hedge, /*tick_ns=*/1),
       service_ns_(static_cast<int64_t>(config.service_time_us) * 1'000),
       cold_ns_(static_cast<int64_t>(config.cold_start_us) * 1'000),
       keep_alive_ns_(config.keep_alive_ms * 1'000'000),
@@ -43,9 +41,8 @@ AdmissionBridge::AdmissionBridge(const AdmissionBridgeConfig& config,
       degrade_min_dwell_ns_(config.degrade.min_dwell.millis() * 1'000'000) {
   pools_.resize(executors_.size() * pool_stride_);
   if (config_.overload.breaker.enabled) {
-    for (Executor& e : executors_) {
-      e.outcomes.assign(std::max(config_.overload.breaker.window, 1), 0);
-    }
+    breakers_.assign(executors_.size(),
+                     CircuitBreaker(config_.overload.breaker));
   }
 }
 
@@ -142,7 +139,6 @@ void AdmissionBridge::EmitReply(uint64_t conn_token, uint64_t request_id,
 void AdmissionBridge::OnRequest(uint64_t conn_token, const RequestFrame& frame,
                                 int64_t now_ns) {
   ++stats_.requests;
-  last_now_ns_ = now_ns;
   if (config_.dedupe != nullptr) {
     ReplyFrame cached;
     switch (config_.dedupe->Begin(frame.request_id, now_ns, &cached)) {
@@ -201,7 +197,7 @@ void AdmissionBridge::OnRequest(uint64_t conn_token, const RequestFrame& frame,
 int AdmissionBridge::PickExecutor(uint32_t function_id, int exclude) {
   const int n = static_cast<int>(executors_.size());
   const int cap = config_.overload.invoker_concurrency_cap;
-  const bool breakers = config_.overload.breaker.enabled;
+  const bool breakers = !breakers_.empty();
   const int home = static_cast<int>(function_id % static_cast<uint32_t>(n));
   for (int k = 0; k < n; ++k) {
     const int ex = home + k < n ? home + k : home + k - n;
@@ -215,7 +211,7 @@ int AdmissionBridge::PickExecutor(uint32_t function_id, int exclude) {
       ++recovery_.unhealthy_skips;
       continue;
     }
-    if (breakers && !BreakerAdmits(e)) {
+    if (breakers && !breakers_[ex].Admits()) {
       ++ledger_.breaker_rejections;
       continue;
     }
@@ -235,10 +231,8 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
   Executor& e = executors_[executor];
   ++e.inflight;
   ++inflight_;
-  bool probe = false;
-  if (config_.overload.breaker.enabled && e.mode == BreakerMode::kHalfOpen) {
-    ++e.half_open_inflight;
-    probe = true;
+  if (!breakers_.empty()) {
+    breakers_[executor].NoteDispatch();
   }
 
   // Warm-pool lookup.  Idle expiries are pushed in completion order, so the
@@ -288,30 +282,13 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
     if (keep_alive_ns_ > 0) {
       pool.idle_expiry_ns.push_back(now_ns + keep_alive_ns_);
     }
-    if (cold) {
-      ++stats_.served_cold;
-    } else {
-      ++stats_.served_warm;
-    }
     const double latency_ms =
         static_cast<double>(now_ns - arrival_ns) / 1e6;
-    if (config_.overload.breaker.enabled) {
-      const double threshold = config_.overload.breaker.latency_threshold_ms;
-      RecordOutcome(executor, threshold > 0.0 && latency_ms > threshold,
-                    probe, now_ns);
+    if (!breakers_.empty()) {
+      RecordCompletion(executor, latency_ms, now_ns);
     }
-    if (config_.overload.hedge.enabled()) {
-      hedge_latency_ms_.Add(latency_ms);
-    }
-    if (latency_ != nullptr) {
-      latency_->Record(now_ns - arrival_ns);
-    }
-    EmitReply(conn_token, frame.request_id, ReplyStatus::kOk,
-              cold ? LatencyClass::kCold : LatencyClass::kWarm, arrival_ns,
-              now_ns);
-    if (!queue_.empty() && !in_drain_) {
-      DrainQueue(now_ns);
-    }
+    Served(cold, conn_token, frame.request_id, arrival_ns, latency_ms, now_ns);
+    DrainIfQueued(now_ns);
     return;
   }
 
@@ -323,7 +300,6 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
   pending.executor = executor;
   pending.cold = cold;
   pending.is_hedge = is_hedge;
-  pending.half_open_probe = probe;
   pending.deadline_us = frame.deadline_us;
   pending.complete_ns = now_ns + total_ns;
   const uint64_t key = AllocPending(pending);
@@ -341,15 +317,15 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
       // Tier 1: hedging is the first load we shed.
       ++recovery_.hedges_suppressed;
     } else {
-      wheel_->Schedule(now_ns + HedgeDelayNs(), &AdmissionBridge::HedgeTimer,
+      wheel_->Schedule(now_ns + hedge_.DelayNs(), &AdmissionBridge::HedgeTimer,
                        this, key);
     }
   }
 }
 
-void AdmissionBridge::CompletionTimer(void* ctx, uint64_t data) {
-  auto* bridge = static_cast<AdmissionBridge*>(ctx);
-  bridge->Complete(data, MonotonicNowNs());
+void AdmissionBridge::CompletionTimer(void* ctx, uint64_t data,
+                                      int64_t now_ns) {
+  static_cast<AdmissionBridge*>(ctx)->Complete(data, now_ns);
 }
 
 void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
@@ -357,7 +333,6 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
   if (p == nullptr) {
     return;
   }
-  last_now_ns_ = now_ns;
   Executor& e = executors_[p->executor];
   if (e.health == ExecHealth::kStalled && !draining_) {
     // The shard is wedged: the execution hangs (still holding its slot)
@@ -371,18 +346,19 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
     PoolFor(p->executor, p->function_id)
         .idle_expiry_ns.push_back(now_ns + keep_alive_ns_);
   }
+  const double latency_ms = static_cast<double>(now_ns - p->arrival_ns) / 1e6;
+  if (!breakers_.empty()) {
+    // Every completion is an outcome for its executor's breaker, a zombie's
+    // included (controller semantics).
+    RecordCompletion(p->executor, latency_ms, now_ns);
+  }
 
   if (p->dead) {
     // Lost the hedge race: the execution ran to completion as a zombie and
     // only now returns its slot and container (controller semantics).
     ++stats_.hedge_zombies;
-    if (p->half_open_probe && config_.overload.breaker.enabled) {
-      --e.half_open_inflight;
-    }
     FreePending(key);
-    if (!queue_.empty() && !in_drain_) {
-      DrainQueue(now_ns);
-    }
+    DrainIfQueued(now_ns);
     return;
   }
 
@@ -398,35 +374,33 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
     }
   }
 
-  if (p->cold) {
+  Served(p->cold, p->conn_token, p->request_id, p->arrival_ns, latency_ms,
+         now_ns);
+  FreePending(key);
+  DrainIfQueued(now_ns);
+}
+
+void AdmissionBridge::Served(bool cold, uint64_t conn_token,
+                             uint64_t request_id, int64_t arrival_ns,
+                             double latency_ms, int64_t now_ns) {
+  if (cold) {
     ++stats_.served_cold;
   } else {
     ++stats_.served_warm;
   }
-  const double latency_ms = static_cast<double>(now_ns - p->arrival_ns) / 1e6;
-  if (config_.overload.breaker.enabled) {
-    const double threshold = config_.overload.breaker.latency_threshold_ms;
-    RecordOutcome(p->executor, threshold > 0.0 && latency_ms > threshold,
-                  p->half_open_probe, now_ns);
-  }
   if (config_.overload.hedge.enabled()) {
-    hedge_latency_ms_.Add(latency_ms);
+    hedge_.Observe(latency_ms);
   }
   if (latency_ != nullptr) {
-    latency_->Record(now_ns - p->arrival_ns);
+    latency_->Record(now_ns - arrival_ns);
   }
-  EmitReply(p->conn_token, p->request_id, ReplyStatus::kOk,
-            p->cold ? LatencyClass::kCold : LatencyClass::kWarm,
-            p->arrival_ns, now_ns);
-  FreePending(key);
-  if (!queue_.empty() && !in_drain_) {
-    DrainQueue(now_ns);
-  }
+  EmitReply(conn_token, request_id, ReplyStatus::kOk,
+            cold ? LatencyClass::kCold : LatencyClass::kWarm, arrival_ns,
+            now_ns);
 }
 
-void AdmissionBridge::HedgeTimer(void* ctx, uint64_t data) {
-  auto* bridge = static_cast<AdmissionBridge*>(ctx);
-  bridge->LaunchHedge(data, MonotonicNowNs());
+void AdmissionBridge::HedgeTimer(void* ctx, uint64_t data, int64_t now_ns) {
+  static_cast<AdmissionBridge*>(ctx)->LaunchHedge(data, now_ns);
 }
 
 void AdmissionBridge::LaunchHedge(uint64_t key, int64_t now_ns) {
@@ -455,53 +429,32 @@ void AdmissionBridge::LaunchHedge(uint64_t key, int64_t now_ns) {
   Execute(executor, conn_token, frame, arrival_ns, now_ns, true, key);
 }
 
-int64_t AdmissionBridge::HedgeDelayNs() {
-  const HedgeConfig& hedge = config_.overload.hedge;
-  const int64_t min_after_ns = hedge.min_after.millis() * 1'000'000;
-  if (hedge.latency_percentile > 0.0 && hedge_latency_ms_.count() >= 32) {
-    const auto estimate_ns =
-        static_cast<int64_t>(hedge_latency_ms_.Value() * 1e6);
-    return std::max(min_after_ns, estimate_ns);
-  }
-  if (hedge.after > Duration::Zero()) {
-    return hedge.after.millis() * 1'000'000;
-  }
-  return min_after_ns;
-}
-
 void AdmissionBridge::Enqueue(uint64_t conn_token, const RequestFrame& frame,
                               int64_t now_ns) {
-  const AdmissionQueueConfig& adm = config_.overload.admission;
-  if (queue_.size() >= static_cast<size_t>(adm.capacity)) {
-    if (adm.discipline == AdmissionDiscipline::kLifo) {
-      // LIFO sheds the OLDEST queued request to admit the newcomer.
-      const QueuedRequest old = queue_.front();
-      queue_.pop_front();
-      ++ledger_.shed_queue_full;
-      EmitReply(old.conn_token, old.request_id, ReplyStatus::kShedQueueFull,
-                LatencyClass::kUnknown, old.arrival_ns, now_ns);
-    } else {
-      ++ledger_.shed_queue_full;
+  if (queue_.full()) {
+    ++ledger_.shed_queue_full;
+    const std::optional<QueuedRequest> old = queue_.ShedForArrival();
+    if (!old.has_value()) {
       EmitReply(conn_token, frame.request_id, ReplyStatus::kShedQueueFull,
                 LatencyClass::kUnknown, now_ns, now_ns);
       return;
     }
+    EmitReply(old->conn_token, old->request_id, ReplyStatus::kShedQueueFull,
+              LatencyClass::kUnknown, old->arrival_ns, now_ns);
   }
-  queue_.push_back(QueuedRequest{conn_token, frame.request_id,
-                                 frame.function_id, frame.deadline_us,
-                                 now_ns});
+  queue_.Push(QueuedRequest{conn_token, frame.request_id, frame.function_id,
+                            frame.deadline_us, now_ns});
   ++ledger_.queued;
   ArmQueueSweep(now_ns);
 }
 
 void AdmissionBridge::DrainQueue(int64_t now_ns) {
   const AdmissionQueueConfig& adm = config_.overload.admission;
-  const bool lifo = adm.discipline == AdmissionDiscipline::kLifo;
   const bool codel = adm.discipline == AdmissionDiscipline::kCoDel;
   const int64_t max_wait_ns = adm.max_wait.millis() * 1'000'000;
   in_drain_ = true;
   while (!queue_.empty()) {
-    QueuedRequest& head = lifo ? queue_.back() : queue_.front();
+    QueuedRequest& head = queue_.Next();
     const int64_t age_ns = now_ns - head.arrival_ns;
     ReplyStatus shed = ReplyStatus::kOk;
     if (codel && age_ns > max_wait_ns) {
@@ -514,11 +467,7 @@ void AdmissionBridge::DrainQueue(int64_t now_ns) {
       ++ledger_.shed_deadline;
       EmitReply(head.conn_token, head.request_id, shed,
                 LatencyClass::kUnknown, head.arrival_ns, now_ns);
-      if (lifo) {
-        queue_.pop_back();
-      } else {
-        queue_.pop_front();
-      }
+      queue_.PopNext();
       continue;
     }
     const int executor = PickExecutor(head.function_id, -1);
@@ -526,11 +475,7 @@ void AdmissionBridge::DrainQueue(int64_t now_ns) {
       break;
     }
     const QueuedRequest req = head;
-    if (lifo) {
-      queue_.pop_back();
-    } else {
-      queue_.pop_front();
-    }
+    queue_.PopNext();
     ++ledger_.drained;
     const double wait_ms = static_cast<double>(age_ns) / 1e6;
     ledger_.total_queue_wait_ms += wait_ms;
@@ -553,141 +498,48 @@ void AdmissionBridge::ArmQueueSweep(int64_t now_ns) {
                    &AdmissionBridge::QueueSweepTimer, this, 0);
 }
 
-void AdmissionBridge::QueueSweepTimer(void* ctx, uint64_t /*data*/) {
+void AdmissionBridge::QueueSweepTimer(void* ctx, uint64_t /*data*/,
+                                      int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   bridge->queue_sweep_armed_ = false;
   if (bridge->draining_) {
     return;
   }
-  const int64_t now_ns = MonotonicNowNs();
-  bridge->last_now_ns_ = now_ns;
-  if (!bridge->in_drain_) {
-    bridge->DrainQueue(now_ns);
-  }
+  bridge->DrainIfQueued(now_ns);
   bridge->ArmQueueSweep(now_ns);
 }
 
-bool AdmissionBridge::BreakerAdmits(const Executor& e) const {
-  switch (e.mode) {
-    case BreakerMode::kClosed:
-      return true;
-    case BreakerMode::kOpen:
-      return false;
-    case BreakerMode::kHalfOpen:
-      return e.half_open_inflight < config_.overload.breaker.half_open_probes;
-  }
-  return true;
-}
-
-void AdmissionBridge::RecordOutcome(int executor, bool bad,
-                                    bool was_half_open_probe, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  const CircuitBreakerConfig& cfg = config_.overload.breaker;
-  if (was_half_open_probe) {
-    --e.half_open_inflight;
-    if (e.mode == BreakerMode::kHalfOpen) {
-      if (bad) {
-        OpenBreaker(executor, now_ns);
-      } else if (++e.half_open_good >= cfg.half_open_probes) {
-        CloseBreaker(executor, now_ns);
-      }
-    }
-    return;
-  }
-  if (e.mode != BreakerMode::kClosed) {
-    return;  // Straggler outcome while open/half-open: not part of a window.
-  }
-  const int8_t value = bad ? 1 : 0;
-  if (e.window_count == static_cast<int>(e.outcomes.size())) {
-    e.bad_count -= e.outcomes[e.window_pos];
-  } else {
-    ++e.window_count;
-  }
-  e.outcomes[e.window_pos] = value;
-  e.bad_count += value;
-  e.window_pos = (e.window_pos + 1) % static_cast<int>(e.outcomes.size());
-  if (e.window_count >= cfg.min_samples &&
-      static_cast<double>(e.bad_count) >=
-          cfg.failure_threshold * static_cast<double>(e.window_count)) {
-    OpenBreaker(executor, now_ns);
-  }
-}
-
-void AdmissionBridge::OpenBreaker(int executor, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  if (e.mode != BreakerMode::kOpen) {
+void AdmissionBridge::RecordCompletion(int executor, double latency_ms,
+                                       int64_t now_ns) {
+  const BreakerStep step =
+      breakers_[executor].RecordCompletion(latency_ms, now_ns, ledger_);
+  if (step.change == BreakerStep::Change::kOpened) {
     ++open_breakers_;
+    wheel_->Schedule(step.half_open_at_ns, &AdmissionBridge::BreakerTimer,
+                     this,
+                     PackKey(static_cast<uint32_t>(executor), step.epoch));
   }
-  e.mode = BreakerMode::kOpen;
-  ++e.breaker_epoch;
-  e.half_open_inflight = 0;
-  e.half_open_good = 0;
-  ++ledger_.breaker_opens;
-  if (!e.degraded) {
-    e.degraded = true;
-    e.degraded_since_ns = now_ns;
-  }
-  const int64_t open_ns =
-      config_.overload.breaker.open_duration.millis() * 1'000'000;
-  wheel_->Schedule(now_ns + open_ns, &AdmissionBridge::BreakerTimer, this,
-                   PackKey(static_cast<uint32_t>(executor), e.breaker_epoch));
 }
 
-void AdmissionBridge::BreakerTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::BreakerTimer(void* ctx, uint64_t data, int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
-  const auto executor = static_cast<int>(static_cast<uint32_t>(data));
+  const auto executor = static_cast<uint32_t>(data);
   const auto epoch = static_cast<uint32_t>(data >> 32);
-  Executor& e = bridge->executors_[executor];
-  // A re-open since this timer was armed mints a new epoch; stale timers
-  // must not half-open the newer open interval early.
-  if (e.breaker_epoch != epoch || e.mode != BreakerMode::kOpen) {
-    return;
+  if (!bridge->breakers_[executor].HalfOpen(epoch, bridge->ledger_)) {
+    return;  // Stale: re-opened or reset since this timer was armed.
   }
-  bridge->HalfOpenBreaker(executor, MonotonicNowNs());
-}
-
-void AdmissionBridge::HalfOpenBreaker(int executor, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  if (e.mode == BreakerMode::kOpen) {
-    --open_breakers_;
-  }
-  e.mode = BreakerMode::kHalfOpen;
-  e.half_open_inflight = 0;
-  e.half_open_good = 0;
-  ++ledger_.breaker_half_opens;
-  last_now_ns_ = now_ns;
+  --bridge->open_breakers_;
   // Probes arrive via normal dispatch; the queue may hold candidates.
-  if (!queue_.empty() && !in_drain_) {
-    DrainQueue(now_ns);
-  }
+  bridge->DrainIfQueued(now_ns);
 }
 
-void AdmissionBridge::CloseBreaker(int executor, int64_t now_ns) {
-  Executor& e = executors_[executor];
-  e.mode = BreakerMode::kClosed;
-  std::fill(e.outcomes.begin(), e.outcomes.end(), 0);
-  e.window_pos = 0;
-  e.window_count = 0;
-  e.bad_count = 0;
-  ++ledger_.breaker_closes;
-  if (e.degraded) {
-    const double open_ms =
-        static_cast<double>(now_ns - e.degraded_since_ns) / 1e6;
-    ++ledger_.breaker_open_intervals;
-    ledger_.total_breaker_open_ms += open_ms;
-    ledger_.max_breaker_open_ms =
-        std::max(ledger_.max_breaker_open_ms, open_ms);
-    e.degraded = false;
-  }
-}
-
-void AdmissionBridge::ChaosCrashTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosCrashTimer(void* ctx, uint64_t data,
+                                      int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
   }
   const serve::ExecCrashEvent& event = bridge->config_.chaos.crashes[data];
-  const int64_t now_ns = MonotonicNowNs();
   bridge->CrashExecutor(event.executor, now_ns);
   // Heal keyed by the post-crash epoch: a watchdog rebuild in between
   // bumps it and this heal becomes a no-op.
@@ -698,7 +550,8 @@ void AdmissionBridge::ChaosCrashTimer(void* ctx, uint64_t data) {
               bridge->executors_[event.executor].health_epoch));
 }
 
-void AdmissionBridge::ChaosHealTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosHealTimer(void* ctx, uint64_t data,
+                                     int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
@@ -709,16 +562,16 @@ void AdmissionBridge::ChaosHealTimer(void* ctx, uint64_t data) {
   if (e.health != ExecHealth::kCrashed || e.health_epoch != epoch) {
     return;
   }
-  bridge->RestartExecutor(executor, MonotonicNowNs(), false);
+  bridge->RestartExecutor(executor, now_ns, false);
 }
 
-void AdmissionBridge::ChaosStallTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosStallTimer(void* ctx, uint64_t data,
+                                      int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
   }
   const serve::ExecStallEvent& event = bridge->config_.chaos.stalls[data];
-  const int64_t now_ns = MonotonicNowNs();
   bridge->StallExecutor(event.executor, now_ns);
   bridge->wheel_->Schedule(
       now_ns + event.duration.millis() * 1'000'000,
@@ -727,7 +580,8 @@ void AdmissionBridge::ChaosStallTimer(void* ctx, uint64_t data) {
               bridge->executors_[event.executor].health_epoch));
 }
 
-void AdmissionBridge::ChaosUnstallTimer(void* ctx, uint64_t data) {
+void AdmissionBridge::ChaosUnstallTimer(void* ctx, uint64_t data,
+                                        int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
@@ -738,15 +592,16 @@ void AdmissionBridge::ChaosUnstallTimer(void* ctx, uint64_t data) {
   if (e.health != ExecHealth::kStalled || e.health_epoch != epoch) {
     return;  // The watchdog already rebuilt the shard.
   }
-  bridge->UnstallExecutor(executor, MonotonicNowNs());
+  bridge->UnstallExecutor(executor, now_ns);
 }
 
-void AdmissionBridge::WatchdogTimer(void* ctx, uint64_t /*data*/) {
+void AdmissionBridge::WatchdogTimer(void* ctx, uint64_t /*data*/,
+                                    int64_t now_ns) {
   auto* bridge = static_cast<AdmissionBridge*>(ctx);
   if (bridge->draining_) {
     return;
   }
-  bridge->WatchdogScan(MonotonicNowNs());
+  bridge->WatchdogScan(now_ns);
 }
 
 void AdmissionBridge::CrashExecutor(int executor, int64_t now_ns) {
@@ -762,29 +617,9 @@ void AdmissionBridge::CrashExecutor(int executor, int64_t now_ns) {
   ++e.health_epoch;
   FailInflightOn(executor, now_ns);
   QuarantinePools(executor, now_ns);
-  // The shard rejoins with a fresh breaker; close the books on an open
-  // interval so OverloadLedger dwell accounting stays consistent.
-  if (config_.overload.breaker.enabled) {
-    if (e.mode == BreakerMode::kOpen) {
-      --open_breakers_;
-    }
-    e.mode = BreakerMode::kClosed;
-    std::fill(e.outcomes.begin(), e.outcomes.end(), 0);
-    e.window_pos = 0;
-    e.window_count = 0;
-    e.bad_count = 0;
-    e.half_open_inflight = 0;
-    e.half_open_good = 0;
-    ++e.breaker_epoch;
-    if (e.degraded) {
-      const double open_ms =
-          static_cast<double>(now_ns - e.degraded_since_ns) / 1e6;
-      ++ledger_.breaker_open_intervals;
-      ledger_.total_breaker_open_ms += open_ms;
-      ledger_.max_breaker_open_ms =
-          std::max(ledger_.max_breaker_open_ms, open_ms);
-      e.degraded = false;
-    }
+  // The shard rejoins with a fresh breaker.
+  if (!breakers_.empty() && breakers_[executor].Reset(now_ns, ledger_)) {
+    --open_breakers_;
   }
   if (config_.degrade.enabled) {
     UpdateDegrade(now_ns);
@@ -820,9 +655,7 @@ void AdmissionBridge::UnstallExecutor(int executor, int64_t now_ns) {
   for (const uint64_t key : frozen) {
     Complete(key, now_ns);
   }
-  if (!queue_.empty() && !in_drain_) {
-    DrainQueue(now_ns);
-  }
+  DrainIfQueued(now_ns);
 }
 
 void AdmissionBridge::RestartExecutor(int executor, int64_t now_ns,
@@ -833,18 +666,8 @@ void AdmissionBridge::RestartExecutor(int executor, int64_t now_ns,
     // suspect and quarantined, the breaker window restarts.
     FailInflightOn(executor, now_ns);
     QuarantinePools(executor, now_ns);
-    if (config_.overload.breaker.enabled) {
-      if (e.mode == BreakerMode::kOpen) {
-        --open_breakers_;
-      }
-      e.mode = BreakerMode::kClosed;
-      std::fill(e.outcomes.begin(), e.outcomes.end(), 0);
-      e.window_pos = 0;
-      e.window_count = 0;
-      e.bad_count = 0;
-      e.half_open_inflight = 0;
-      e.half_open_good = 0;
-      ++e.breaker_epoch;
+    if (!breakers_.empty() && breakers_[executor].Reset(now_ns, ledger_)) {
+      --open_breakers_;
     }
     ++recovery_.watchdog_restarts;
   } else {
@@ -919,7 +742,6 @@ void AdmissionBridge::QuarantinePools(int executor, int64_t now_ns) {
 }
 
 void AdmissionBridge::WatchdogScan(int64_t now_ns) {
-  last_now_ns_ = now_ns;
   // An execution overdue past its scheduled completion by more than the
   // stall threshold means its shard stopped completing work (the wheel
   // fires never-early / at-most-one-tick-late, so a healthy shard cannot
@@ -1046,16 +868,8 @@ void AdmissionBridge::Drain(int64_t now_ns) {
     pool.idle_expiry_ns.clear();
   }
   // Close the books on breakers still degraded at shutdown.
-  for (Executor& e : executors_) {
-    if (e.degraded) {
-      const double open_ms =
-          static_cast<double>(now_ns - e.degraded_since_ns) / 1e6;
-      ++ledger_.breaker_open_intervals;
-      ledger_.total_breaker_open_ms += open_ms;
-      ledger_.max_breaker_open_ms =
-          std::max(ledger_.max_breaker_open_ms, open_ms);
-      e.degraded = false;
-    }
+  for (CircuitBreaker& breaker : breakers_) {
+    breaker.Shutdown(now_ns, ledger_);
   }
 }
 

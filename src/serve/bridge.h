@@ -1,19 +1,20 @@
 // AdmissionBridge: the cluster controller's admission path on a wall clock.
 //
 // The serving front-end (src/serve/server.h) terminates TCP and hands every
-// decoded request to one of these.  The bridge is the controller's overload
-// machinery — bounded admission queue with FIFO/LIFO/CoDel shedding,
-// per-executor concurrency caps and circuit breakers, hedged dispatch with
-// first-completion-wins — re-run against CLOCK_MONOTONIC instead of the
-// simulator's virtual EventQueue.  It reuses the cluster's configuration
-// and accounting types verbatim (OverloadControlConfig, AdmissionDiscipline,
-// OverloadLedger from src/cluster/overload.h), so a discipline swept in the
-// simulator and a discipline served over sockets are the same knobs and the
-// same ledger fields; what changes is only the substrate: future work goes
-// through a TimerWheel, and "executors" are concurrency shards standing in
-// for invokers (execution itself is simulated as a timer at
-// service_time + cold-start penalty, with a per-function warm-container
-// pool under a fixed keep-alive deciding cold vs warm).
+// decoded request to one of these.  The bridge runs the overload plane of
+// the cluster Controller against CLOCK_MONOTONIC instead of the simulator's
+// virtual EventQueue.  What is shared is the code, not a copy of it: the
+// configuration and ledger (OverloadControlConfig, OverloadLedger) and the
+// three mechanisms — CircuitBreaker, HedgeTrigger and AdmissionQueue<T>
+// (src/cluster/overload.h) — are the ones the Controller runs, so a
+// discipline swept in the simulator and one served over sockets are the
+// same knobs, the same state machine and the same ledger fields.  What the
+// bridge adds is the substrate: it arms the mechanisms' timers on a
+// TimerWheel, "executors" are concurrency shards standing in for invokers,
+// and execution itself is simulated as a timer at service_time + cold-start
+// penalty, with a per-function warm-container pool under a fixed keep-alive
+// deciding cold vs warm.  The CoDel sweep and per-request deadlines stay
+// here, as the Controller's CoDel timers stay there.
 //
 // One bridge per event loop, single-threaded, no locks: a request is
 // admitted, queued, or shed on the loop that read it, and per-loop ledgers
@@ -35,13 +36,13 @@
 #include "src/serve/idempotency.h"
 #include "src/serve/timer_wheel.h"
 #include "src/serve/wire.h"
-#include "src/stats/p2_quantile.h"
 #include "src/telemetry/latency_recorder.h"
 
 namespace faas {
 
 struct AdmissionBridgeConfig {
-  // The cluster's overload knobs, reused verbatim:
+  // The cluster's overload knobs (validated with
+  // OverloadControlConfig::Validate):
   //   overload.admission                 bounded queue + discipline
   //   overload.breaker                   per-executor circuit breakers
   //   overload.hedge                     hedged dispatch for cold requests
@@ -148,24 +149,12 @@ class AdmissionBridge {
   const ResourceLedger& resources() const { return resources_; }
 
  private:
-  enum class BreakerMode : uint8_t { kClosed, kOpen, kHalfOpen };
   enum class ExecHealth : uint8_t { kUp, kCrashed, kStalled };
 
   struct Executor {
     int32_t inflight = 0;
-    // Circuit breaker (sized/used only when overload.breaker.enabled).
-    BreakerMode mode = BreakerMode::kClosed;
-    std::vector<int8_t> outcomes;  // Rolling ring, 1 = bad.
-    int window_pos = 0;
-    int window_count = 0;
-    int bad_count = 0;
-    int half_open_inflight = 0;
-    int half_open_good = 0;
-    uint32_t breaker_epoch = 0;  // Validates open->half-open timers.
-    bool degraded = false;
-    int64_t degraded_since_ns = 0;
     // Chaos / self-healing shard state.  health_epoch validates the chaos
-    // heal/unstall timers the same way breaker_epoch validates half-opens:
+    // heal/unstall timers the way the breaker epoch validates half-opens:
     // a watchdog restart bumps it, so a stale heal cannot resurrect a shard
     // the watchdog already rebuilt.
     ExecHealth health = ExecHealth::kUp;
@@ -194,7 +183,6 @@ class AdmissionBridge {
     bool cold = false;
     bool dead = false;      // Lost the hedge race; completes as a zombie.
     bool is_hedge = false;
-    bool half_open_probe = false;
     uint64_t partner = 0;   // Packed key of the live hedge partner (0=none).
     uint32_t deadline_us = 0;
     // Scheduled completion instant; the watchdog flags executions overdue
@@ -220,13 +208,22 @@ class AdmissionBridge {
                int64_t arrival_ns, int64_t now_ns, bool is_hedge,
                uint64_t primary_key);
   void Complete(uint64_t key, int64_t now_ns);
+  // The reply and tallies of a successful execution (inline or timed).
+  void Served(bool cold, uint64_t conn_token, uint64_t request_id,
+              int64_t arrival_ns, double latency_ms, int64_t now_ns);
   void LaunchHedge(uint64_t key, int64_t now_ns);
-  int64_t HedgeDelayNs();
 
   // --- admission queue ---
   void Enqueue(uint64_t conn_token, const RequestFrame& frame,
                int64_t now_ns);
   void DrainQueue(int64_t now_ns);
+  // DrainQueue when something is queued and no drain is already running
+  // (Execute's inline completion may free a slot mid-drain).
+  void DrainIfQueued(int64_t now_ns) {
+    if (!queue_.empty() && !in_drain_) {
+      DrainQueue(now_ns);
+    }
+  }
   void ArmQueueSweep(int64_t now_ns);
 
   // --- chaos / self-healing ---
@@ -249,12 +246,9 @@ class AdmissionBridge {
   double DegradePressure() const;
 
   // --- breakers ---
-  bool BreakerAdmits(const Executor& e) const;
-  void RecordOutcome(int executor, bool bad, bool was_half_open_probe,
-                     int64_t now_ns);
-  void OpenBreaker(int executor, int64_t now_ns);
-  void HalfOpenBreaker(int executor, int64_t now_ns);
-  void CloseBreaker(int executor, int64_t now_ns);
+  // Feeds a completion `latency_ms` long into `executor`'s breaker and arms
+  // the half-open timer if it opened.
+  void RecordCompletion(int executor, double latency_ms, int64_t now_ns);
 
   // --- plumbing ---
   FunctionPool& PoolFor(int executor, uint32_t function_id);
@@ -265,15 +259,15 @@ class AdmissionBridge {
                  LatencyClass latency_class, int64_t arrival_ns,
                  int64_t now_ns);
 
-  static void CompletionTimer(void* ctx, uint64_t data);
-  static void HedgeTimer(void* ctx, uint64_t data);
-  static void BreakerTimer(void* ctx, uint64_t data);
-  static void QueueSweepTimer(void* ctx, uint64_t data);
-  static void ChaosCrashTimer(void* ctx, uint64_t data);
-  static void ChaosHealTimer(void* ctx, uint64_t data);
-  static void ChaosStallTimer(void* ctx, uint64_t data);
-  static void ChaosUnstallTimer(void* ctx, uint64_t data);
-  static void WatchdogTimer(void* ctx, uint64_t data);
+  static void CompletionTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void HedgeTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void BreakerTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void QueueSweepTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosCrashTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosHealTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosStallTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void ChaosUnstallTimer(void* ctx, uint64_t data, int64_t now_ns);
+  static void WatchdogTimer(void* ctx, uint64_t data, int64_t now_ns);
 
   AdmissionBridgeConfig config_;
   TimerWheel* wheel_;
@@ -282,11 +276,13 @@ class AdmissionBridge {
   LatencyRecorder* latency_;
 
   std::vector<Executor> executors_;
+  // One per executor; sized only when overload.breaker.enabled.
+  std::vector<CircuitBreaker> breakers_;
   // pools_[executor * stride + function]; grown when a function id exceeds
   // the current stride.
   std::vector<FunctionPool> pools_;
   uint32_t pool_stride_ = 0;
-  std::deque<QueuedRequest> queue_;
+  AdmissionQueue<QueuedRequest> queue_;
   bool queue_sweep_armed_ = false;
   // Re-entrancy guard: Execute()'s inline-completion path may free a slot
   // while DrainQueue is already walking the queue.
@@ -295,9 +291,8 @@ class AdmissionBridge {
   std::vector<Pending> pending_;
   std::vector<uint32_t> free_pending_;
   int64_t inflight_ = 0;
-  int64_t last_now_ns_ = 0;
 
-  P2Quantile hedge_latency_ms_;
+  HedgeTrigger hedge_;
   int64_t service_ns_ = 0;
   int64_t cold_ns_ = 0;
   int64_t keep_alive_ns_ = 0;
@@ -308,7 +303,7 @@ class AdmissionBridge {
   int64_t chaos_start_ns_ = 0;  // StartClock() epoch for plan offsets.
   int64_t stall_threshold_ns_ = 0;
   int64_t watchdog_interval_ns_ = 0;
-  int open_breakers_ = 0;    // Executors in BreakerMode::kOpen.
+  int open_breakers_ = 0;    // Executors in BreakerState::kOpen.
   int unhealthy_ = 0;        // Executors with health != kUp.
   int degrade_tier_ = 0;
   int64_t tier_since_ns_ = 0;

@@ -14,7 +14,10 @@
 // no locks anywhere.  Callbacks are a bare function pointer plus a context
 // pointer and a 64-bit datum — no std::function, no allocation per timer —
 // because the bridge schedules one completion timer per simulated
-// execution and the wheel must keep up with the admission path.
+// execution and the wheel must keep up with the admission path.  A callback
+// receives the instant passed to Advance as its "now", so callees never
+// read a clock of their own and a wheel driven by a scripted clock drives
+// them deterministically.
 //
 // Cancellation is by validation, not by handle: callbacks fire
 // unconditionally and the callee checks whether the work is still relevant
@@ -32,7 +35,7 @@ namespace faas {
 
 class TimerWheel {
  public:
-  using Callback = void (*)(void* ctx, uint64_t data);
+  using Callback = void (*)(void* ctx, uint64_t data, int64_t now_ns);
 
   // `tick_ns` is the firing granularity; `num_slots` (rounded up to a power
   // of two) times the tick is one rotation.  Timers beyond one rotation are
@@ -43,12 +46,12 @@ class TimerWheel {
   // firing, which is noise).
   explicit TimerWheel(int64_t tick_ns = 64 * 1024, size_t num_slots = 4096);
 
-  // Registers `fn(ctx, data)` to fire once `deadline_ns` is reached.
+  // Registers `fn(ctx, data, now_ns)` to fire once `deadline_ns` is reached.
   // Deadlines in the past fire on the next Advance.
   void Schedule(int64_t deadline_ns, Callback fn, void* ctx, uint64_t data);
 
   // Fires every timer whose tick has fully elapsed by now_ns, in tick order
-  // (timers within one tick fire in insertion order).  Nothing ever fires
+  // (timers within one tick fire in insertion order), passing now_ns.  Nothing ever fires
   // before its deadline; a timer fires at most one tick late (the wheel's
   // granularity).  Callbacks may schedule new timers; a new timer landing in
   // the tick currently being processed fires on a later Advance, never

@@ -1,6 +1,6 @@
 // Timer wheel: ordering, rounds (deadlines beyond one rotation), past-due
-// scheduling, callbacks that re-schedule, and NextDeadlineNs for the epoll
-// sleep computation.
+// scheduling, callbacks that re-schedule, the firing instant handed to
+// callbacks, and NextDeadlineNs for the epoll sleep computation.
 
 #include "src/serve/timer_wheel.h"
 
@@ -16,16 +16,19 @@ namespace {
 
 struct Fired {
   std::vector<uint64_t>* order;
+  std::vector<int64_t> nows;  // The `now_ns` each callback received.
 };
 
-void RecordFire(void* ctx, uint64_t data) {
-  static_cast<Fired*>(ctx)->order->push_back(data);
+void RecordFire(void* ctx, uint64_t data, int64_t now_ns) {
+  auto* fired = static_cast<Fired*>(ctx);
+  fired->order->push_back(data);
+  fired->nows.push_back(now_ns);
 }
 
 TEST(TimerWheelTest, FiresAtOrAfterDeadline) {
   TimerWheel wheel(/*tick_ns=*/100, /*num_slots=*/16);
   std::vector<uint64_t> order;
-  Fired ctx{&order};
+  Fired ctx{&order, {}};
   wheel.Schedule(1'000, &RecordFire, &ctx, 1);
   EXPECT_EQ(wheel.pending(), 1u);
 
@@ -40,7 +43,7 @@ TEST(TimerWheelTest, FiresAtOrAfterDeadline) {
 TEST(TimerWheelTest, FiresInDeadlineOrder) {
   TimerWheel wheel(/*tick_ns=*/100, /*num_slots=*/64);
   std::vector<uint64_t> order;
-  Fired ctx{&order};
+  Fired ctx{&order, {}};
   // Insertion order deliberately scrambled.
   wheel.Schedule(3'000, &RecordFire, &ctx, 3);
   wheel.Schedule(1'000, &RecordFire, &ctx, 1);
@@ -54,7 +57,7 @@ TEST(TimerWheelTest, DeadlineBeyondOneRotationWaitsItsRound) {
   // slot the cursor passes twice before the timer is due.
   TimerWheel wheel(/*tick_ns=*/100, /*num_slots=*/16);
   std::vector<uint64_t> order;
-  Fired ctx{&order};
+  Fired ctx{&order, {}};
   wheel.Schedule(5'000, &RecordFire, &ctx, 7);
   wheel.Advance(1'700);  // One full rotation: not due.
   EXPECT_TRUE(order.empty());
@@ -68,7 +71,7 @@ TEST(TimerWheelTest, DeadlineBeyondOneRotationWaitsItsRound) {
 TEST(TimerWheelTest, PastDueFiresOnNextAdvance) {
   TimerWheel wheel(/*tick_ns=*/100, /*num_slots=*/16);
   std::vector<uint64_t> order;
-  Fired ctx{&order};
+  Fired ctx{&order, {}};
   wheel.Advance(10'000);
   wheel.Schedule(5'000, &RecordFire, &ctx, 1);  // Already in the past.
   wheel.Advance(10'100);
@@ -81,7 +84,7 @@ struct Reschedule {
   int64_t next_deadline;
 };
 
-void FireAndReschedule(void* ctx, uint64_t data) {
+void FireAndReschedule(void* ctx, uint64_t data, int64_t /*now_ns*/) {
   auto* r = static_cast<Reschedule*>(ctx);
   r->order->push_back(data);
   if (data < 3) {
@@ -103,11 +106,27 @@ TEST(TimerWheelTest, CallbackMaySchedule) {
   EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 3}));
 }
 
+TEST(TimerWheelTest, CallbacksSeeTheAdvanceInstant) {
+  TimerWheel wheel(/*tick_ns=*/100, /*num_slots=*/16);
+  std::vector<uint64_t> order;
+  Fired ctx{&order, {}};
+  // Stepped path: both fire within one Advance and see its argument, not
+  // their deadlines.
+  wheel.Schedule(300, &RecordFire, &ctx, 1);
+  wheel.Schedule(700, &RecordFire, &ctx, 2);
+  wheel.Advance(1'050);
+  // Rotation-jump path (a gap of a full rotation or more).
+  wheel.Schedule(2'000, &RecordFire, &ctx, 3);
+  wheel.Advance(9'999);
+  EXPECT_EQ(order, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(ctx.nows, (std::vector<int64_t>{1'050, 1'050, 9'999}));
+}
+
 TEST(TimerWheelTest, NextDeadlineTracksEarliestPending) {
   TimerWheel wheel(/*tick_ns=*/100, /*num_slots=*/16);
   EXPECT_EQ(wheel.NextDeadlineNs(), -1);
   std::vector<uint64_t> order;
-  Fired ctx{&order};
+  Fired ctx{&order, {}};
   wheel.Schedule(2'000, &RecordFire, &ctx, 2);
   wheel.Schedule(800, &RecordFire, &ctx, 1);
   // Reports the fire time: the end of the earliest pending timer's tick.
@@ -127,7 +146,7 @@ TEST(TimerWheelTest, RandomizedAgainstReferenceOrder) {
   for (int round = 0; round < 20; ++round) {
     TimerWheel wheel(/*tick_ns=*/64, /*num_slots=*/32);
     std::vector<uint64_t> order;
-    Fired ctx{&order};
+    Fired ctx{&order, {}};
     const int n = 200;
     std::vector<int64_t> deadlines(n);
     for (int i = 0; i < n; ++i) {
@@ -142,6 +161,7 @@ TEST(TimerWheelTest, RandomizedAgainstReferenceOrder) {
       wheel.Advance(now);
       for (size_t i = before; i < order.size(); ++i) {
         EXPECT_LE(deadlines[order[i]], now) << "fired before its deadline";
+        EXPECT_EQ(ctx.nows[i], now) << "callback saw another instant";
       }
     }
     ASSERT_EQ(order.size(), static_cast<size_t>(n));

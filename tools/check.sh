@@ -20,7 +20,13 @@
 # ARIMA suites (root checks, whose Durand-Kerner and step-down work arrays
 # are fixed-size and indexed by degree; CSS fits; auto_arima goldens) and
 # the Nelder-Mead suite, whose scratch buffers are swapped into the simplex,
-# ride the UBSan and ASan legs.  The
+# ride the UBSan and ASan legs, as do the shared overload mechanisms
+# (overload_core_test: the circuit breaker's ring indices and epoch
+# arithmetic, the hedge trigger, the admission-queue discipline) and the
+# scripted-clock admission-bridge suite (bridge_test).  After tier-1, the
+# determinism tests (names matching BitIdentical|Determinis|AcrossThreads)
+# run 20 times each, stopping at the first failure, so a flaky thread-count
+# dependence shows up as a red check rather than a rare one.  The
 # serve-chaos suite (chaos-plan grammar, idempotency index, recovery-ledger
 # merges, plus the loopback watchdog/degrade/drain-under-stall tests) rides
 # the TSan and ASan serving legs: TSan crosses the watchdog timers with
@@ -53,6 +59,9 @@ echo "== tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
+echo "== tier-1: determinism tests, repeated until failure (20x) =="
+(cd build && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
+    --repeat until-fail:20 -R 'BitIdentical|Determinis|AcrossThreads')
 
 if [[ "${SKIP_TSAN}" == "1" && "${SKIP_UBSAN}" == "1" && "${SKIP_ASAN}" == "1" ]]; then
   echo "== quick: pareto_sweep smoke (streamed 120-app frontier) =="
@@ -94,9 +103,10 @@ else
       sweep_stream_test generator_shard_test compiled_trace_test \
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test resource_ledger_test \
-      series_test arima_model_test auto_arima_test nelder_mead_test
+      series_test arima_model_test auto_arima_test nelder_mead_test \
+      overload_core_test bridge_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -111,12 +121,13 @@ else
       telemetry_metrics_test telemetry_tracer_test \
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
       latency_recorder_test resource_ledger_test \
-      series_test arima_model_test auto_arima_test nelder_mead_test
+      series_test arima_model_test auto_arima_test nelder_mead_test \
+      overload_core_test bridge_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep recycles its shard arena.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
 fi
 
 echo "== all checks passed =="

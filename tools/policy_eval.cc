@@ -524,11 +524,6 @@ bool ParseOverloadFlags(const FlagParser& flags,
   if (flags.Has("hedge-percentile")) {
     overload->hedge.latency_percentile =
         flags.GetDouble("hedge-percentile", 0.0);
-    if (overload->hedge.latency_percentile <= 0.0 ||
-        overload->hedge.latency_percentile >= 100.0) {
-      std::fprintf(stderr, "--hedge-percentile must be in (0, 100)\n");
-      return false;
-    }
   }
   if (flags.Has("concurrency-cap")) {
     overload->invoker_concurrency_cap =
@@ -559,6 +554,11 @@ bool ParseOverloadFlags(const FlagParser& flags,
   if (flags.Has("breaker-latency-ms")) {
     overload->breaker.latency_threshold_ms =
         flags.GetDouble("breaker-latency-ms", 0.0);
+  }
+  const std::string error = overload->Validate();
+  if (!error.empty()) {
+    std::fprintf(stderr, "bad overload flags: %s\n", error.c_str());
+    return false;
   }
   return true;
 }

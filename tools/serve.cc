@@ -77,19 +77,6 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int /*signum*/) { g_stop = 1; }
 
-bool ParseDiscipline(const std::string& name, AdmissionDiscipline* out) {
-  if (name == "fifo") {
-    *out = AdmissionDiscipline::kFifo;
-  } else if (name == "lifo") {
-    *out = AdmissionDiscipline::kLifo;
-  } else if (name == "codel") {
-    *out = AdmissionDiscipline::kCoDel;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 // Folds a final ServeStats into a registry so the serving counters ride the
 // standard Prometheus exporter, then appends the latency histogram.
 // Recovery metrics are registered only when the self-healing knobs were on,
@@ -253,15 +240,18 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("cap", 0));
   bridge.overload.admission.capacity =
       static_cast<int>(flags.GetInt("admission-queue", 0));
-  if (!ParseDiscipline(flags.GetString("admission-discipline", "fifo"),
-                       &bridge.overload.admission.discipline)) {
+  const auto discipline =
+      ParseAdmissionDiscipline(flags.GetString("admission-discipline", "fifo"));
+  if (!discipline.has_value()) {
     std::fprintf(stderr, "bad --admission-discipline (fifo|lifo|codel)\n");
     return 2;
   }
+  bridge.overload.admission.discipline = *discipline;
   bridge.overload.admission.max_wait =
       Duration::Millis(flags.GetInt("queue-max-wait-ms", 30'000));
   if (flags.GetBool("breaker", false) || flags.Has("breaker-window") ||
-      flags.Has("breaker-threshold") || flags.Has("breaker-latency-ms")) {
+      flags.Has("breaker-threshold") || flags.Has("breaker-open-ms") ||
+      flags.Has("breaker-latency-ms")) {
     CircuitBreakerConfig& breaker = bridge.overload.breaker;
     breaker.enabled = true;
     breaker.window = static_cast<int>(flags.GetInt("breaker-window", 20));
@@ -276,6 +266,12 @@ int main(int argc, char** argv) {
   }
   bridge.overload.hedge.latency_percentile =
       flags.GetDouble("hedge-percentile", 0.0);
+  const std::string overload_error = bridge.overload.Validate();
+  if (!overload_error.empty()) {
+    std::fprintf(stderr, "serve: bad overload flags: %s\n",
+                 overload_error.c_str());
+    return 2;
+  }
 
   if (flags.Has("chaos")) {
     std::string parse_error;
