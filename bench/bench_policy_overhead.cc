@@ -12,9 +12,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "src/arima/auto_arima.h"
+#include "src/arima/series.h"
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
 #include "src/policy/hybrid.h"
@@ -100,6 +102,46 @@ void BM_ArimaInitialFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ArimaInitialFit)->Arg(16)->Arg(50)->Arg(200);
+
+// The stationarity/invertibility check that Nelder-Mead runs on every CSS
+// objective evaluation, on the polynomials that reach its slow path: a root
+// (or conjugate pair) within 1e-3 of the unit circle, its relative distance
+// from Durand-Kerner's threshold 1 + 1e-8 log-uniform over 1e-15..1e-4, as
+// in the hybrid sweep.  Degrees 1, 2 and 3 come in the sweep's proportions
+// (about 1 : 3 : 6); a degree-3 polynomial adds a real root well outside.
+void BM_RootCheckNearThreshold(benchmark::State& state) {
+  constexpr double kThreshold = 1.0 + 1e-8;
+  Rng rng(6);
+  std::vector<std::vector<double>> polys(4096);
+  for (std::vector<double>& c : polys) {
+    const double offset = std::pow(10.0, rng.UniformDouble(-15.0, -4.0));
+    const double radius =
+        kThreshold * (1.0 + (rng.Bernoulli(0.5) ? offset : -offset));
+    const double draw = rng.UniformDouble(0.0, 10.0);
+    if (draw < 1.0) {
+      c = {(rng.Bernoulli(0.5) ? 1.0 : -1.0) / radius};
+      continue;
+    }
+    // (1 - z/rho)(1 - z/conj(rho)) = 1 - 2 cos(theta)/r z + z^2/r^2.
+    const double cos_theta = std::cos(rng.UniformDouble(0.05, 3.1));
+    const double b = 2.0 * cos_theta / radius;
+    const double a = 1.0 / (radius * radius);
+    if (draw < 4.0) {
+      c = {b, -a};
+      continue;
+    }
+    // Times (1 - z/x) for a real root x with 2 <= |x| <= 10.
+    const double inv_x =
+        (rng.Bernoulli(0.5) ? 1.0 : -1.0) / rng.UniformDouble(2.0, 10.0);
+    c = {b + inv_x, -a - b * inv_x, a * inv_x};
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(RootsOutsideUnitCircle(polys[i++ & 4095]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RootCheckNearThreshold);
 
 // The ARIMA branch of a full policy decision (refit per invocation, as the
 // paper does for OOB-heavy apps; their refit took 5.3ms).

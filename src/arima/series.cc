@@ -1,8 +1,10 @@
 #include "src/arima/series.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -208,15 +210,34 @@ namespace {
 
 constexpr size_t kMaxRootDegree = 8;
 
-// Width of the radius band around the unit circle inside which the step-down
-// test defers to Durand-Kerner.  Measured by running both on every root
-// check of three sweeps of the benchmark's sweep_hybrid workload (10.9
-// million checks, seed 1): without the step-down's error bound they
-// disagreed 0 times at widths 1e-3, 1e-4 and 1e-5 but 552 times at 1e-6;
-// with it, 0 times at all four, and 0 again on seed 2.  The band stays at
-// 1e-3, far above the error of Durand-Kerner itself on a triple root (about
-// 1e-5); 29.7% of the checks fall inside it.
+constexpr double kUnitRoundoff = 0x1p-53;
+
+// Durand-Kerner counts a root as inside when its modulus is at most this.
+constexpr double kUnitRadius = 1.0 + 1e-8;
+
+// The step-down test runs at two pairs of radii before deferring to
+// Durand-Kerner.
+//
+// kDurandKernerBand: every polynomial is tested at 1 +- 1e-3.  Measured by
+// running both on every root check of three sweeps of the benchmark's
+// sweep_hybrid workload (10.9 million checks, seed 1): without the
+// step-down's error bound they disagreed 0 times at widths 1e-3, 1e-4 and
+// 1e-5 but 552 times at 1e-6; with it, 0 times at all four, and 0 again on
+// seed 2.  The band stays at 1e-3, far above the error of Durand-Kerner
+// itself on a triple root (about 1e-5).  A quarter of the checks have a
+// root inside it, most from Nelder-Mead pressing the CSS fit onto the
+// stationarity boundary; their roots lie 1e-4 to 1e-15 from kUnitRadius,
+// spread evenly over the decades.
+//
+// kThresholdBand: those are tested again at kUnitRadius * (1 +- 1e-12)
+// when RootsWellSeparated certifies that Durand-Kerner's rounding error on
+// every root is below 1e-12 / 2, so the roots it computes fall on the same
+// side of kUnitRadius as the true ones.  Roots within 1e-12 of kUnitRadius,
+// clustered roots and degrees above 3 still run Durand-Kerner: 3% of the
+// checks of a sweep_hybrid sweep.  Both pairs together agree with
+// Durand-Kerner on every check of seeds 1 to 12.
 constexpr double kDurandKernerBand = 1e-3;
+constexpr double kThresholdBand = 1e-12;
 
 // Degree of 1 - c1 z - ... - cp z^p once near-zero trailing coefficients
 // are stripped.
@@ -291,7 +312,6 @@ bool DurandKernerRootsOutside(std::span<const double> coefficients,
     }
   }
 
-  constexpr double kUnitRadius = 1.0 + 1e-8;
   for (size_t i = 0; i < degree; ++i) {
     const std::complex<double> root = roots[i];
     if (std::fabs(root.real()) > kUnitRadius ||
@@ -326,7 +346,6 @@ double MaxMagnitude(std::span<const double> values) {
 // is not trusted and the answer is kUndecided.
 StepDownResult StepDownRootsBeyond(std::span<const double> coefficients,
                                    size_t degree, double radius) {
-  constexpr double kUnitRoundoff = 0x1p-53;
   std::array<double, kMaxRootDegree> a{};
   std::array<double, kMaxRootDegree> next{};
   double scale = 1.0;
@@ -346,6 +365,9 @@ StepDownResult StepDownRootsBeyond(std::span<const double> coefficients,
     if (!(abs_kappa + error < 1.0)) {
       return StepDownResult::kUndecided;  // Also catches NaN and overflow.
     }
+    if (k == 1) {
+      break;  // The last reflection coefficient has nothing to step down.
+    }
     const double inv = 1.0 / ((1.0 - kappa) * (1.0 + kappa));
     // Relative change of 1 / (1 - kappa^2) under a kappa error of `error`.
     const double inv_drift = (2.0 * error + error * error) * inv;
@@ -358,16 +380,81 @@ StepDownResult StepDownRootsBeyond(std::span<const double> coefficients,
     // New error: the numerator's (inherited plus rounding) scaled by
     // 1 / (1 - kappa^2), the numerator times that factor's drift and
     // rounding, and the final rounding, each with a factor of two to spare.
+    // The numerator times 1 / (1 - kappa^2) is the new coefficient itself,
+    // so its magnitude bounds that product even where the numerator
+    // cancels (kappa near +-1, roots near the circle).
     const double numerator_error =
         error * (2.0 + magnitude + error) + 4.0 * kUnitRoundoff * magnitude;
     const double next_magnitude = MaxMagnitude(std::span(next).first(k - 1));
     error = 2.0 * inv * numerator_error +
-            4.0 * magnitude * inv * (2.0 * inv_drift + 5.0 * kUnitRoundoff) +
+            2.0 * next_magnitude * (2.0 * inv_drift + 5.0 * kUnitRoundoff) +
             kUnitRoundoff * next_magnitude;
     magnitude = next_magnitude;
     std::swap(a, next);
   }
   return StepDownResult::kAllBeyond;
+}
+
+// True when Durand-Kerner's relative rounding error on every root of
+// 1 - c1 z - ... - cp z^p is certified below kThresholdBand / 2.
+//
+// To first order that error is the rounding error of evaluating the monic
+// polynomial at the root, a small multiple of the unit roundoff u times
+// sum |a_k| |z_i|^k <= 2 |z_i| prod_{j != i} (|z_i| + |z_j|), divided by
+// |p'(z_i)| = prod_{j != i} |z_i - z_j|.  Relative to |z_i| that is a
+// multiple of u times
+//   cond_i = prod_{j != i} (|z_i| + |z_j|) / |z_i - z_j|,
+// which is the same product over w = 1/z, the roots of
+// w^p - c1 w^(p-1) - ... - cp.  Over the 2.1 million Durand-Kerner checks
+// of the benchmark's sweep_hybrid workload, seeds 1 and 2, the multiple
+// never exceeded 3.5.  The gate asks for
+// 64 u cond_i <= kThresholdBand / 2, i.e. cond_i <= 70, for every root,
+// bounding cond_i through the discriminant Delta = prod_{i<j} (w_i - w_j)^2
+// with its rounding error carried (the bounds' own few-ulp rounding sits
+// inside the factor 64):
+//   p = 1: cond = 1.
+//   p = 2: cond^2 = 1/2 + (c1^2 + 4|c2|) / (2|Delta|), from
+//          (|w_1| + |w_2|)^2 = (|w_1 + w_2|^2 + |w_1 - w_2|^2) / 2 + 2|w_1 w_2|.
+//   p = 3: each cond_i is at most the product of all three pair factors,
+//          and (|w_a| + |w_b|)^2 <= 2 (|w_a|^2 + |w_b|^2), so by AM-GM
+//            cond_i^2 <= 8 (2/3 sum |w|^2)^3 / |Delta|.
+//          sum |w|^2 is at most the squared Frobenius norm of any diagonal
+//          scaling of the companion matrix (Schur's inequality):
+//            c1^2 + c2^2 s + c3^2 s^2 + 2/s for every s > 0.
+// Higher degrees are not certified (the hybrid policy fits p, q <= 3).
+bool RootsWellSeparated(std::span<const double> c, size_t degree) {
+  constexpr double kMaxCond = kThresholdBand / (2.0 * 64.0 * kUnitRoundoff);
+  if (degree == 1) {
+    return true;
+  }
+  if (degree == 2) {
+    const double scale = c[0] * c[0] + 4.0 * std::fabs(c[1]);
+    const double disc = std::fabs(c[0] * c[0] + 4.0 * c[1]) -
+                        4.0 * kUnitRoundoff * scale;
+    return 0.5 * scale <= (kMaxCond * kMaxCond - 0.5) * disc;
+  }
+  if (degree == 3) {
+    const double c1c2 = c[0] * c[1];
+    const double terms[] = {c1c2 * c1c2, 4.0 * c[1] * c[1] * c[1],
+                            -4.0 * c[0] * c[0] * c[0] * c[2],
+                            -18.0 * c1c2 * c[2], -27.0 * c[2] * c[2]};
+    double delta = 0.0;
+    double scale = 0.0;
+    for (const double term : terms) {
+      delta += term;
+      scale += std::fabs(term);
+    }
+    const double disc = std::fabs(delta) - 16.0 * kUnitRoundoff * scale;
+    double sum_sq = std::numeric_limits<double>::infinity();
+    for (const double s : {0.25, 0.5, 1.0, 2.0, 4.0}) {
+      sum_sq = std::min(sum_sq, c[0] * c[0] + c[1] * c[1] * s +
+                                    c[2] * c[2] * s * s + 2.0 / s);
+    }
+    const double pair_mean = 2.0 / 3.0 * sum_sq;
+    return 8.0 * pair_mean * pair_mean * pair_mean <=
+           kMaxCond * kMaxCond * disc;
+  }
+  return false;
 }
 
 }  // namespace
@@ -396,6 +483,18 @@ bool RootsOutsideUnitCircle(std::span<const double> coefficients) {
       StepDownRootsBeyond(coefficients, degree, 1.0 - kDurandKernerBand) ==
           StepDownResult::kNotAllBeyond) {
     return false;
+  }
+  if (RootsWellSeparated(coefficients, degree)) {
+    if (StepDownRootsBeyond(coefficients, degree,
+                            kUnitRadius * (1.0 + kThresholdBand)) ==
+        StepDownResult::kAllBeyond) {
+      return true;
+    }
+    if (StepDownRootsBeyond(coefficients, degree,
+                            kUnitRadius * (1.0 - kThresholdBand)) ==
+        StepDownResult::kNotAllBeyond) {
+      return false;
+    }
   }
   return DurandKernerRootsOutside(coefficients, degree);
 }

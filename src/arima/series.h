@@ -57,13 +57,20 @@ int EstimateDifferencingOrder(std::span<const double> series, int max_d);
 //
 // Gives RootsOutsideUnitCircleDurandKerner's answer, faster.  A
 // real-arithmetic Schur-Cohn step-down test on the radius-scaled
-// coefficients c_i * r^i answers true when every root lies beyond
-// r = 1 + 1e-3 and false when some root lies within r = 1 - 1e-3.  It
-// carries a bound on its own rounding error and abstains when that bound
-// reaches a decision (clustered roots near the circle).  Polynomials with a
-// root inside the +-1e-3 band, abstentions, and non-finite coefficients run
-// Durand-Kerner.  The two agree on every check of a hybrid-policy sweep and
-// on the randomized comparison in tests/series_test.cc.
+// coefficients c_i * r^i answers true when every root lies beyond r and
+// false when some root lies within r.  It carries a bound on its own
+// rounding error and abstains when that bound reaches a decision
+// (clustered roots near r).  It runs at two pairs of radii:
+//   - 1 +- 1e-3, for every polynomial;
+//   - then T (1 +- 1e-12), where T = 1 + 1e-8 is Durand-Kerner's
+//     threshold, for degrees 1 to 3 whose roots a discriminant bound
+//     certifies well separated, so that Durand-Kerner's own rounding error
+//     on them (certified below 5e-13) cannot carry a computed root across T.
+// Everything else runs Durand-Kerner: roots within 1e-12 of T, clustered
+// roots and degrees above 3 with a root within 1e-3 of the circle,
+// abstentions, and non-finite coefficients.  The two agree on every check
+// of twelve hybrid-policy sweeps and on the randomized and near-threshold
+// comparisons in tests/series_test.cc.
 bool RootsOutsideUnitCircle(std::span<const double> coefficients);
 
 // The reference root check: Durand-Kerner iteration from the (0.4 + 0.9i)^k

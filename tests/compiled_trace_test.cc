@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <ostream>
@@ -14,13 +13,12 @@
 #include "src/policy/policy.h"
 #include "src/sim/simulator.h"
 #include "src/workload/generator.h"
+#include "tests/print_bytes.h"
 
 namespace faas {
 
-// gtest names each case of CompiledReplayEquivalenceTest after its printed
-// parameter, and its default printer dumps the object bytes, padding
-// included, which hold whatever the stack held.  Print the same dump with
-// the padding zeroed so the case names are stable from build to build.
+// Prints the parameter of CompiledReplayEquivalenceTest with its padding
+// zeroed (see tests/print_bytes.h).
 void PrintTo(const SimulatorOptions& options, std::ostream* os) {
   static_assert(sizeof(SimulatorOptions) == 24,
                 "SimulatorOptions changed: update the fields below");
@@ -36,16 +34,7 @@ void PrintTo(const SimulatorOptions& options, std::ostream* os) {
   put(offsetof(SimulatorOptions, num_threads), options.num_threads);
   put(offsetof(SimulatorOptions, track_hourly), options.track_hourly);
   put(offsetof(SimulatorOptions, telemetry), options.telemetry);
-  *os << sizeof bytes << "-byte object <";
-  for (size_t i = 0; i < sizeof bytes; ++i) {
-    if (i != 0) {
-      *os << (i % 2 == 0 ? ' ' : '-');
-    }
-    char hex[3];
-    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
-    *os << hex;
-  }
-  *os << '>';
+  PrintObjectBytes(bytes, sizeof bytes, os);
 }
 
 namespace {

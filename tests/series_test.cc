@@ -261,10 +261,9 @@ double DrawRadius(Rng& rng) {
   return rng.UniformDouble(0.5, 2.0);
 }
 
-// Random polynomial of exactly `degree` from real roots and conjugate pairs,
-// each repeated up to three times.
-std::vector<double> DrawPolynomial(Rng& rng, size_t degree) {
-  RootPolynomial poly;
+// Raises `poly` to exactly `degree` with random real roots and conjugate
+// pairs, each repeated up to three times.
+void AddRandomRoots(Rng& rng, size_t degree, RootPolynomial& poly) {
   while (poly.degree() < degree) {
     const size_t room = degree - poly.degree();
     const bool pair = room >= 2 && rng.Bernoulli(0.5);
@@ -279,6 +278,12 @@ std::vector<double> DrawPolynomial(Rng& rng, size_t degree) {
       poly.AddReal(rng.Bernoulli(0.5) ? radius : -radius, multiplicity);
     }
   }
+}
+
+// Random polynomial of exactly `degree`, as AddRandomRoots draws it.
+std::vector<double> DrawPolynomial(Rng& rng, size_t degree) {
+  RootPolynomial poly;
+  AddRandomRoots(rng, degree, poly);
   return poly.Coefficients();
 }
 
@@ -349,6 +354,67 @@ TEST(RootsAgreementTest, BandEdgesMatchDurandKerner) {
                   RootsOutsideUnitCircleDurandKerner(c))
             << "degree " << degree << " radius " << radius;
       }
+    }
+  }
+}
+
+// Durand-Kerner's threshold: a root counts as inside when its modulus is at
+// most this.
+constexpr double kDurandKernerThreshold = 1.0 + 1e-8;
+
+TEST(RootsAgreementTest, NearThresholdRootsMatchDurandKerner) {
+  // Simple, double and triple real roots and conjugate pairs at
+  // T (1 +- r), alone and beside well-separated roots well inside and well
+  // outside the unit circle; r spans the decades just outside the 1e-12
+  // band in which the fast path always defers to Durand-Kerner.  The double real root at T (1 - 1e-11) is why
+  // the fast path needs its separation gate: the step-down alone calls it
+  // inside, but Durand-Kerner's error on a double root (about 1e-8)
+  // carries both of its estimates past T, so Durand-Kerner answers true.
+  for (const double offset : {1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 3e-12}) {
+    for (const double side : {-1.0, 1.0}) {
+      const double radius = kDurandKernerThreshold * (1.0 + side * offset);
+      for (int multiplicity = 1; multiplicity <= 3; ++multiplicity) {
+        std::vector<RootPolynomial> polys(6);
+        polys[0].AddReal(radius, multiplicity);
+        polys[1].AddReal(-radius, multiplicity);
+        polys[2].AddConjugatePair(radius, 2.1, multiplicity);
+        polys[3].AddConjugatePair(radius, 0.3, multiplicity);
+        polys[4].AddReal(radius, multiplicity);
+        polys[4].AddReal(-2.5, 1);
+        polys[5].AddConjugatePair(radius, 2.1, multiplicity);
+        polys[5].AddReal(0.4, 1);
+        for (const RootPolynomial& poly : polys) {
+          const std::vector<double> c = poly.Coefficients();
+          EXPECT_EQ(RootsOutsideUnitCircle(c),
+                    RootsOutsideUnitCircleDurandKerner(c))
+              << "offset " << side * offset << " multiplicity "
+              << multiplicity << " degree " << poly.degree();
+        }
+      }
+    }
+  }
+}
+
+TEST(RootsAgreementTest, RandomNearThresholdPolynomialsMatchDurandKerner) {
+  // One root (or pair) at T (1 +- r) with r log-uniform in [1e-15, 1e-3],
+  // the rest drawn as in the randomized comparison above.
+  Rng rng(2022);
+  for (size_t degree = 1; degree <= 8; ++degree) {
+    for (int trial = 0; trial < 1500; ++trial) {
+      RootPolynomial poly;
+      const double offset = std::pow(10.0, rng.UniformDouble(-15.0, -3.0));
+      const double radius = kDurandKernerThreshold *
+                            (1.0 + (rng.Bernoulli(0.5) ? offset : -offset));
+      if (degree >= 2 && rng.Bernoulli(0.5)) {
+        poly.AddConjugatePair(radius, rng.UniformDouble(0.05, 3.1), 1);
+      } else {
+        poly.AddReal(rng.Bernoulli(0.5) ? radius : -radius, 1);
+      }
+      AddRandomRoots(rng, degree, poly);
+      const std::vector<double> c = poly.Coefficients();
+      ASSERT_EQ(RootsOutsideUnitCircle(c),
+                RootsOutsideUnitCircleDurandKerner(c))
+          << "degree " << degree << " trial " << trial;
     }
   }
 }

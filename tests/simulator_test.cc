@@ -1,10 +1,14 @@
 #include "src/sim/simulator.h"
 
+#include <cstddef>
+#include <cstring>
 #include <memory>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
 #include "src/policy/hybrid.h"
+#include "tests/print_bytes.h"
 
 namespace faas {
 namespace {
@@ -271,6 +275,22 @@ struct WindowCase {
   int expected_cold_starts;  // Including the always-cold first invocation.
   double expected_waste_min;
 };
+
+// Prints the parameter with its padding zeroed (see tests/print_bytes.h).
+void PrintTo(const WindowCase& c, std::ostream* os) {
+  static_assert(sizeof(WindowCase) == 40,
+                "WindowCase changed: update the fields below");
+  unsigned char bytes[sizeof(WindowCase)] = {};
+  const auto put = [&bytes](size_t offset, const auto& field) {
+    std::memcpy(bytes + offset, &field, sizeof field);
+  };
+  put(offsetof(WindowCase, prewarm_min), c.prewarm_min);
+  put(offsetof(WindowCase, keepalive_min), c.keepalive_min);
+  put(offsetof(WindowCase, idle_min), c.idle_min);
+  put(offsetof(WindowCase, expected_cold_starts), c.expected_cold_starts);
+  put(offsetof(WindowCase, expected_waste_min), c.expected_waste_min);
+  PrintObjectBytes(bytes, sizeof bytes, os);
+}
 
 class WindowSemanticsTest : public ::testing::TestWithParam<WindowCase> {};
 

@@ -26,7 +26,9 @@
 # scripted-clock admission-bridge suite (bridge_test).  After tier-1, the
 # determinism tests (names matching BitIdentical|Determinis|AcrossThreads)
 # run 20 times each, stopping at the first failure, so a flaky thread-count
-# dependence shows up as a red check rather than a rare one.  The
+# dependence shows up as a red check rather than a rare one; then 20 times
+# more with FAAS_POOL_THREADS at twice the core count, so the shared pool
+# runs more workers than there are cores.  The
 # serve-chaos suite (chaos-plan grammar, idempotency index, recovery-ledger
 # merges, plus the loopback watchdog/degrade/drain-under-stall tests) rides
 # the TSan and ASan serving legs: TSan crosses the watchdog timers with
@@ -61,6 +63,10 @@ cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 echo "== tier-1: determinism tests, repeated until failure (20x) =="
 (cd build && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
+    --repeat until-fail:20 -R 'BitIdentical|Determinis|AcrossThreads')
+echo "== tier-1: determinism tests, shared pool at twice the cores (20x) =="
+(cd build && FAAS_POOL_THREADS=$((2 * JOBS)) ctest --output-on-failure \
+    -j "${JOBS}" --no-tests=error \
     --repeat until-fail:20 -R 'BitIdentical|Determinis|AcrossThreads')
 
 if [[ "${SKIP_TSAN}" == "1" && "${SKIP_UBSAN}" == "1" && "${SKIP_ASAN}" == "1" ]]; then

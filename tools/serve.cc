@@ -7,9 +7,11 @@
 // simulated executions finish, reply bytes flush, and the telemetry
 // exporters write their files before the process exits.
 //
-//   serve --port 7433 --loops 2 --executors 4 --cap 64 \
-//         --admission-queue 512 --admission-discipline codel \
-//         --service-us 200 --cold-us 5000 \
+// Example (one command line, wrapped):
+//
+//   serve --port 7433 --loops 2 --executors 4 --cap 64
+//         --admission-queue 512 --admission-discipline codel
+//         --service-us 200 --cold-us 5000
 //         --metrics-out serve_metrics.prom --latency-out serve_latency.csv
 //
 // Flags:
