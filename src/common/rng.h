@@ -32,13 +32,15 @@ class Rng {
   static constexpr result_type max() { return ~0ull; }
 
   result_type operator()() { return Next(); }
+  // Defined inline below: the arrival samplers draw once or twice per
+  // candidate instant.
   uint64_t Next();
 
   // Derives an independent generator; calling Fork() repeatedly yields a
   // stream of generators with decorrelated sequences.
   Rng Fork();
 
-  // Uniform double in [0, 1).
+  // Uniform double in [0, 1) (inline below).
   double NextDouble();
   // Uniform double in [lo, hi).
   double UniformDouble(double lo, double hi);
@@ -64,10 +66,31 @@ class Rng {
   size_t WeightedIndex(const std::vector<double>& weights);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   double spare_gaussian_ = 0.0;
   bool has_spare_gaussian_ = false;
 };
+
+inline uint64_t Rng::Next() {
+  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+  const uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = Rotl(state_[3], 45);
+  return result;
+}
+
+inline double Rng::NextDouble() {
+  // 53 random mantissa bits -> uniform double in [0, 1).
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
 
 }  // namespace faas
 

@@ -16,10 +16,14 @@
 // needs (id, average memory).  The arenas are self-contained: the source
 // Trace may be destroyed after Compile returns.
 //
-// Replay over a CompiledTrace is bit-identical to the legacy per-app merge:
-// the merge enumerates functions in the same order and sorts with the same
-// time-only comparator, so the instant sequence (and, with execution times
-// enabled, the paired durations) match the seed path exactly.
+// Replay over a CompiledTrace is bit-identical to the legacy per-app merge
+// (concatenate the functions' streams in order, std::sort by time alone).
+// Generated streams are already sorted, so Compile merges them as sorted
+// runs instead of sorting; that gives the same (time, exec) sequence
+// whenever the sort's result is unique.  An app with an unsorted stream, or
+// with an equal-millisecond group that mixes execution durations (whose
+// order only the unstable sort itself defines), takes the legacy sort of
+// the same input.
 
 #ifndef SRC_SIM_COMPILED_TRACE_H_
 #define SRC_SIM_COMPILED_TRACE_H_
@@ -65,7 +69,7 @@ struct CompiledTrace {
     return static_cast<int64_t>(times_ms.size());
   }
 
-  // Merges and sorts every app's invocation streams.  num_threads as in
+  // Merges every app's invocation streams.  num_threads as in
   // SimulatorOptions: 0 = hardware concurrency, <= 1 = inline.
   static CompiledTrace Compile(const Trace& trace, int num_threads = 1);
 
@@ -76,8 +80,8 @@ struct CompiledTrace {
   // `out->entities` is a fresh app-only index over the range (apps interned
   // in trace order, functions not interned), so span i is AppId(i) exactly
   // as in Compile.  The merged (time, exec) sequences are bit-identical to
-  // the corresponding spans of Compile(trace) at any width: same insertion
-  // order, same time-only comparator.
+  // the corresponding spans of Compile(trace) at any width: each app's
+  // merge sees only that app's streams.
   static void CompileRangeInto(const Trace& trace, size_t begin_app,
                                size_t end_app, CompiledTrace* out,
                                int num_threads = 0);

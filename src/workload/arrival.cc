@@ -11,6 +11,22 @@ namespace faas {
 namespace {
 
 constexpr double kMillisPerDay = 86'400'000.0;
+constexpr int64_t kMillisPerMinute = 60'000;
+constexpr int64_t kMinutesPerDay = 24 * 60;
+constexpr int64_t kMinutesPerWeek = 7 * kMinutesPerDay;
+// Instants in [0, 2^43) ms: their day index and time of day are exact in
+// double, so MultiplierAt(t) equals MultiplierAt(t mod one week) there and
+// one week of bands covers them.
+constexpr uint64_t kBandRangeMs = uint64_t{1} << 43;
+// Widening of each band edge.  It must exceed the rounding error of
+// MultiplierAt twice over (an edge is itself a rounded value); that error
+// is a few ulps of O(1) operands, about 1e-15, once the peak hour is a
+// time of day.  The multiplier moves by up to ~2e-3 within a minute, so
+// the widening hardly changes how many draws fall inside a band.
+constexpr double kBandSlack = 1e-9;
+// Padding, in hours, around the hump's peak and trough when deciding which
+// minutes hold one; covers rounding in the minute's hour bounds.
+constexpr double kExtremumPadHours = 1e-6;
 
 }  // namespace
 
@@ -19,6 +35,47 @@ DiurnalProfile::DiurnalProfile(const GeneratorConfig& config)
       weekend_dampening_(config.weekend_dampening),
       peak_hour_(config.peak_hour_utc) {
   FAAS_CHECK(baseline_ > 0.0 && baseline_ <= 1.0) << "baseline in (0,1]";
+  FAAS_CHECK(weekend_dampening_ >= 0.0 && weekend_dampening_ <= 1.0)
+      << "weekend dampening in [0,1]";
+  FAAS_CHECK(peak_hour_ >= 0.0 && peak_hour_ <= 24.0) << "peak hour in [0,24]";
+
+  // Hourly over one week is exact enough for a smooth profile.
+  constexpr int kGrid = 24 * 7;
+  for (int i = 0; i < kGrid; ++i) {
+    weekly_average_ +=
+        MultiplierAt(TimePoint(static_cast<int64_t>(i) * 3'600'000));
+  }
+  weekly_average_ /= kGrid;
+
+  // Between its peak (hour == peak_hour) and its trough twelve hours away
+  // the hump is monotone, and so is the multiplier within one day, so a
+  // minute without either extremum is bounded by its two end values.
+  const double extremum_offset = std::fmod(peak_hour_, 12.0);
+  bands_.resize(static_cast<size_t>(kMinutesPerWeek));
+  for (int64_t minute = 0; minute < kMinutesPerWeek; ++minute) {
+    const int64_t first_ms = minute * kMillisPerMinute;
+    const int64_t last_ms = first_ms + kMillisPerMinute - 1;
+    const double first_hour =
+        static_cast<double>(minute % kMinutesPerDay) / 60.0;
+    const double last_hour =
+        first_hour + static_cast<double>(kMillisPerMinute - 1) / 3'600'000.0;
+    bool holds_extremum = false;
+    for (int k = -1; k <= 2; ++k) {
+      const double extremum = extremum_offset + 12.0 * k;
+      holds_extremum |= extremum >= first_hour - kExtremumPadHours &&
+                        extremum <= last_hour + kExtremumPadHours;
+    }
+    Band& band = bands_[static_cast<size_t>(minute)];
+    if (holds_extremum) {
+      band = {-std::numeric_limits<double>::infinity(),
+              std::numeric_limits<double>::infinity()};
+      continue;
+    }
+    const double first = MultiplierAt(TimePoint(first_ms));
+    const double last = MultiplierAt(TimePoint(last_ms));
+    band = {std::min(first, last) - kBandSlack,
+            std::max(first, last) + kBandSlack};
+  }
 }
 
 double DiurnalProfile::MultiplierAt(TimePoint t) const {
@@ -41,6 +98,27 @@ double DiurnalProfile::MultiplierAt(TimePoint t) const {
     multiplier = baseline_ + (multiplier - baseline_) * weekend_dampening_;
   }
   return multiplier;
+}
+
+DiurnalProfile::Band DiurnalProfile::BandAt(TimePoint t) const {
+  const int64_t ms = t.millis_since_origin();
+  // The cast sends instants before the origin beyond the range too.
+  if (static_cast<uint64_t>(ms) >= kBandRangeMs) {
+    return {-std::numeric_limits<double>::infinity(),
+            std::numeric_limits<double>::infinity()};
+  }
+  return bands_[static_cast<size_t>(ms / kMillisPerMinute % kMinutesPerWeek)];
+}
+
+bool DiurnalProfile::Accepts(TimePoint t, double u) const {
+  const Band band = BandAt(t);
+  if (u < band.lo) {
+    return true;
+  }
+  if (u >= band.hi) {
+    return false;
+  }
+  return u < MultiplierAt(t);
 }
 
 std::vector<TimePoint> GeneratePeriodicArrivals(Duration period,
@@ -72,20 +150,10 @@ std::vector<TimePoint> GeneratePoissonArrivals(double mean_rate_per_day,
   if (mean_rate_per_day <= 0.0) {
     return arrivals;
   }
-  // The diurnal multiplier's time average over a week is needed so that the
-  // realised mean rate matches the request.  Estimate it once on a coarse
-  // grid (hourly over one week is exact enough for a smooth profile).
-  double avg_multiplier = 0.0;
-  constexpr int kGrid = 24 * 7;
-  for (int i = 0; i < kGrid; ++i) {
-    avg_multiplier += profile.MultiplierAt(
-        TimePoint(static_cast<int64_t>(i) * 3'600'000));
-  }
-  avg_multiplier /= kGrid;
-
-  // Lewis-Shedler thinning with majorant rate = peak (multiplier 1).
+  // Lewis-Shedler thinning with majorant rate = peak (multiplier 1), scaled
+  // by the weekly average so the realised mean rate matches the request.
   const double peak_rate_per_ms =
-      (mean_rate_per_day / avg_multiplier) / kMillisPerDay;
+      (mean_rate_per_day / profile.weekly_average()) / kMillisPerDay;
   arrivals.reserve(static_cast<size_t>(
       mean_rate_per_day * horizon.millis() / kMillisPerDay * 1.1) + 4);
   double t_ms = 0.0;
@@ -96,7 +164,7 @@ std::vector<TimePoint> GeneratePoissonArrivals(double mean_rate_per_day,
       break;
     }
     const TimePoint candidate(static_cast<int64_t>(t_ms));
-    if (rng.NextDouble() < profile.MultiplierAt(candidate)) {
+    if (profile.Accepts(candidate, rng.NextDouble())) {
       arrivals.push_back(candidate);
     }
   }

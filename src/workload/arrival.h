@@ -5,7 +5,8 @@
 // diurnal-modulated Poisson streams (human traffic, CV ~ 1), and bursty
 // on/off-modulated Poisson streams (queue drains and event batches, CV > 1).
 // The diurnal profile reproduces the platform-wide hourly shape of Figure 4:
-// a constant baseline around 50% of peak plus daily and weekly swings.
+// a constant baseline (GeneratorConfig::diurnal_baseline, 38% of peak by
+// default) under a daily hump whose swing weekends dampen.
 
 #ifndef SRC_WORKLOAD_ARRIVAL_H_
 #define SRC_WORKLOAD_ARRIVAL_H_
@@ -19,20 +20,53 @@
 namespace faas {
 
 // Platform load multiplier over time, normalised so the PEAK is 1.0.
+//
+// Thinning asks, for every candidate instant t and uniform draw u, whether
+// u < MultiplierAt(t), and MultiplierAt costs an fmod, a cos and a pow.  The
+// profile therefore also keeps one band per minute of the week that holds
+// MultiplierAt(t) for every millisecond t of that minute (the profile
+// repeats weekly), and Accepts evaluates the multiplier only for draws that
+// fall inside the band.  Building the table costs two multiplier
+// evaluations per minute of the week, so build one profile per generator,
+// not per stream.
 class DiurnalProfile {
  public:
+  // Bounds on MultiplierAt over one minute of the week: lo <= MultiplierAt(t)
+  // <= hi for every millisecond t of the minute.
+  struct Band {
+    double lo;
+    double hi;
+  };
+
   explicit DiurnalProfile(const GeneratorConfig& config);
 
   // Multiplier in (0, 1] at an instant (day 0 = Monday by convention; the
   // paper's trace starts Monday July 15th, 2019).
   double MultiplierAt(TimePoint t) const;
 
+  // Thinning test: exactly u < MultiplierAt(t), for every t and u.  Draws
+  // below the minute's band accept and draws at or above it reject without
+  // evaluating the multiplier; the rest, instants before the origin or
+  // beyond the table's range (2^43 ms, about 278 years), and every instant
+  // of a minute that holds the hump's peak or trough (where the multiplier
+  // is not monotone) take the exact comparison.
+  bool Accepts(TimePoint t, double u) const;
+
+  // The band of t's minute of the week; {-inf, +inf} for a minute that
+  // always takes the exact comparison.
+  Band BandAt(TimePoint t) const;
+
+  // Mean of MultiplierAt over the 168 hours of the first week, sampled on
+  // the hour.
+  double weekly_average() const { return weekly_average_; }
   double baseline() const { return baseline_; }
 
  private:
   double baseline_;
   double weekend_dampening_;
   double peak_hour_;
+  double weekly_average_ = 0.0;
+  std::vector<Band> bands_;  // Indexed by minute of the week.
 };
 
 // Periodic arrivals: period `period`, phase uniform in [0, period), plus an
@@ -43,7 +77,8 @@ std::vector<TimePoint> GeneratePeriodicArrivals(Duration period,
 
 // Non-homogeneous Poisson arrivals via Lewis-Shedler thinning against the
 // diurnal profile.  `mean_rate_per_day` is the time-averaged rate; the
-// instantaneous rate is scaled so the average over the horizon matches.
+// instantaneous rate is scaled by the profile's weekly average so the
+// average over the horizon matches.
 std::vector<TimePoint> GeneratePoissonArrivals(double mean_rate_per_day,
                                                Duration horizon,
                                                const DiurnalProfile& profile,

@@ -28,6 +28,7 @@
 
 #include "src/common/rng.h"
 #include "src/trace/types.h"
+#include "src/workload/arrival.h"
 #include "src/workload/config.h"
 #include "src/workload/rate_model.h"
 
@@ -117,6 +118,9 @@ class WorkloadGenerator {
 
   GeneratorConfig config_;
   RateModel rate_model_;
+  // Shared by every Poisson and bursty stream (read-only after
+  // construction, so materialize threads share it freely).
+  DiurnalProfile profile_;
   Rng root_rng_;
 
   std::once_flag plans_once_;

@@ -1,6 +1,10 @@
 #include "src/workload/arrival.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -54,6 +58,124 @@ TEST(DiurnalProfileTest, WeekendDampened) {
   const double weekend = profile.MultiplierAt(
       TimePoint((int64_t{5} * 24 + 15) * 3'600'000));
   EXPECT_LT(weekend, weekday);
+}
+
+constexpr int64_t kMinuteMs = 60'000;
+constexpr int64_t kWeekMinutes = 7 * 24 * 60;
+constexpr int64_t kWeekMs = kWeekMinutes * kMinuteMs;
+
+// Profiles the thinning bands must hold: the default, a flat profile, flat
+// and undampened weekends, and peaks at both edges of the day.
+std::vector<GeneratorConfig> BandConfigs() {
+  std::vector<GeneratorConfig> configs(6);
+  configs[1].diurnal_baseline = 1.0;
+  configs[2].weekend_dampening = 0.0;
+  configs[3].weekend_dampening = 1.0;
+  configs[3].diurnal_baseline = 0.05;
+  configs[4].peak_hour_utc = 23.99;
+  configs[5].peak_hour_utc = 0.0;
+  configs[5].weekend_dampening = 0.3;
+  return configs;
+}
+
+// Every minute's band holds the multiplier at both ends of the minute and
+// at sampled instants inside it, in the first week and later ones, and
+// Accepts agrees with the exact comparison at the band edges and on both
+// sides of the exact value.
+TEST(DiurnalProfileTest, BandsHoldMultiplierAndAcceptsIsExact) {
+  Rng rng(511);
+  for (const GeneratorConfig& config : BandConfigs()) {
+    SCOPED_TRACE("baseline " + std::to_string(config.diurnal_baseline) +
+                 " dampening " + std::to_string(config.weekend_dampening) +
+                 " peak " + std::to_string(config.peak_hour_utc));
+    const DiurnalProfile profile(config);
+    for (int64_t minute = 0; minute < kWeekMinutes; ++minute) {
+      const int64_t first = minute * kMinuteMs;
+      const DiurnalProfile::Band band = profile.BandAt(TimePoint(first));
+      std::vector<int64_t> instants = {first, first + kMinuteMs - 1};
+      for (int i = 0; i < 4; ++i) {
+        instants.push_back(first + rng.UniformInt(int64_t{1}, kMinuteMs - 2));
+      }
+      instants.push_back(instants.back() + rng.UniformInt(int64_t{1}, 3) *
+                                               kWeekMs);
+      for (const int64_t ms : instants) {
+        const TimePoint t(ms);
+        const double m = profile.MultiplierAt(t);
+        ASSERT_LE(band.lo, m) << "t=" << ms;
+        ASSERT_GE(band.hi, m) << "t=" << ms;
+        const DiurnalProfile::Band at = profile.BandAt(t);
+        ASSERT_EQ(at.lo, band.lo) << "t=" << ms;
+        ASSERT_EQ(at.hi, band.hi) << "t=" << ms;
+        for (const double u :
+             {band.lo, band.hi, m, std::nextafter(m, 0.0),
+              std::nextafter(m, 2.0)}) {
+          ASSERT_EQ(profile.Accepts(t, u), u < m) << "t=" << ms << " u=" << u;
+        }
+      }
+    }
+  }
+}
+
+// The minutes that hold the hump's peak or trough never decide from their
+// band; a minute between them does.
+TEST(DiurnalProfileTest, ExtremumMinutesTakeTheExactComparison) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto minute_at = [](double hour) {
+    return TimePoint(static_cast<int64_t>(hour * 3'600'000.0));
+  };
+  GeneratorConfig config;
+  config.peak_hour_utc = 15.0;
+  {
+    const DiurnalProfile profile(config);
+    for (const double hour : {15.0, 3.0, 24.0 * 5 + 15.0, 24.0 * 6 + 3.0}) {
+      EXPECT_EQ(profile.BandAt(minute_at(hour)).lo, -kInf) << hour;
+      EXPECT_EQ(profile.BandAt(minute_at(hour)).hi, kInf) << hour;
+    }
+    EXPECT_GT(profile.BandAt(minute_at(9.0)).lo, 0.0);
+    EXPECT_LT(profile.BandAt(minute_at(9.0)).hi, 1.0);
+  }
+  config.peak_hour_utc = 23.99;
+  {
+    const DiurnalProfile profile(config);
+    for (const double hour : {23.995, 11.995}) {
+      EXPECT_EQ(profile.BandAt(minute_at(hour)).lo, -kInf) << hour;
+    }
+    EXPECT_GT(profile.BandAt(minute_at(0.0)).lo, 0.0);
+  }
+  // Instants before the origin and beyond the table also compare exactly.
+  const DiurnalProfile profile(config);
+  for (const int64_t ms : {int64_t{-1}, int64_t{1} << 50}) {
+    EXPECT_EQ(profile.BandAt(TimePoint(ms)).lo, -kInf);
+    const double m = profile.MultiplierAt(TimePoint(ms));
+    EXPECT_EQ(profile.Accepts(TimePoint(ms), std::nextafter(m, 0.0)), true);
+    EXPECT_EQ(profile.Accepts(TimePoint(ms), m), false);
+  }
+}
+
+// Every millisecond of a week against its band, for each of BandConfigs.
+// Several minutes of CPU even in an optimized build, so it stays out of
+// the tier-1 run; run it with --gtest_also_run_disabled_tests after
+// changing the profile or its bands.
+TEST(DiurnalProfileTest, DISABLED_BandsHoldMultiplierEveryMillisecond) {
+  for (const GeneratorConfig& config : BandConfigs()) {
+    const DiurnalProfile profile(config);
+    int64_t outside = 0;
+    int64_t exact_ms = 0;
+    for (int64_t ms = 0; ms < kWeekMs; ++ms) {
+      const TimePoint t(ms);
+      const double m = profile.MultiplierAt(t);
+      const DiurnalProfile::Band band = profile.BandAt(t);
+      outside += m < band.lo || m > band.hi;
+      exact_ms += band.lo == -std::numeric_limits<double>::infinity();
+    }
+    EXPECT_EQ(outside, 0);
+    std::printf("baseline %.2f dampening %.2f peak %.2f: %lld of %lld ms in "
+                "exact-comparison minutes, %lld outside their band\n",
+                config.diurnal_baseline, config.weekend_dampening,
+                config.peak_hour_utc, static_cast<long long>(exact_ms),
+                static_cast<long long>(kWeekMs),
+                static_cast<long long>(outside));
+  }
 }
 
 TEST(PeriodicArrivalsTest, RespectsPeriodAndHorizon) {

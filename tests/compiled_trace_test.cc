@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -150,6 +153,129 @@ TEST(CompiledTraceTest, CompileRangeIntoMatchesCompileAtAnyWidth) {
         EXPECT_EQ(arena.times_ms.size(),
                   reference.spans[end - 1].end - reference.spans[begin].begin);
       }
+    }
+  }
+}
+
+// The legacy per-app merge, kept here as the reference the run merge must
+// reproduce: concatenate the streams in function order, std::sort by time
+// alone.
+void ReferenceMerge(const AppTrace& app, std::vector<int64_t>* times,
+                    std::vector<int64_t>* exec) {
+  std::vector<std::pair<int64_t, int64_t>> merged;
+  for (const FunctionTrace& function : app.functions) {
+    for (TimePoint t : function.invocations) {
+      merged.emplace_back(t.millis_since_origin(),
+                          static_cast<int64_t>(function.execution.average_ms));
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const std::pair<int64_t, int64_t>& lhs,
+               const std::pair<int64_t, int64_t>& rhs) {
+              return lhs.first < rhs.first;
+            });
+  for (const auto& [time, duration] : merged) {
+    times->push_back(time);
+    exec->push_back(duration);
+  }
+}
+
+FunctionTrace MakeFunction(double exec_ms, std::vector<int64_t> instants) {
+  FunctionTrace function;
+  function.function_id = "fn";
+  function.trigger = TriggerType::kHttp;
+  function.execution.average_ms = exec_ms;
+  for (const int64_t t : instants) {
+    function.invocations.emplace_back(t);
+  }
+  return function;
+}
+
+// Hand-built apps, one per merge situation.
+Trace MakeMergeCases() {
+  Trace trace;
+  trace.horizon = Duration::Days(1);
+  const auto add_app = [&trace](std::vector<FunctionTrace> functions) {
+    AppTrace app;
+    app.owner_id = "owner";
+    app.app_id = "app" + std::to_string(trace.apps.size());
+    app.memory = {128.0, 120.0, 140.0, 1};
+    app.functions = std::move(functions);
+    trace.apps.push_back(std::move(app));
+  };
+  Rng rng(12);
+  const auto sorted_instants = [&rng](int n, int64_t range) {
+    std::vector<int64_t> instants;
+    for (int i = 0; i < n; ++i) {
+      instants.push_back(rng.UniformInt(int64_t{0}, range - 1));
+    }
+    std::sort(instants.begin(), instants.end());
+    return instants;
+  };
+
+  // One function, with repeated instants.
+  add_app({MakeFunction(30.0, {5, 5, 9, 40, 40, 40, 1000})});
+  // Empty functions around and between non-empty ones, and an app with no
+  // invocations at all.
+  add_app({MakeFunction(1.0, {}), MakeFunction(2.0, {3, 8}),
+           MakeFunction(3.0, {}), MakeFunction(4.0, {1, 9}),
+           MakeFunction(5.0, {})});
+  add_app({MakeFunction(1.0, {}), MakeFunction(2.0, {})});
+  // Unsorted streams: alone, beside a sorted one, and out of order only at
+  // the very end.
+  add_app({MakeFunction(7.0, {50, 10, 30, 20})});
+  add_app({MakeFunction(7.0, {1, 2, 3, 100}), MakeFunction(8.0, {60, 40})});
+  add_app({MakeFunction(7.0, {1, 2, 3, 100, 99}), MakeFunction(8.0, {50})});
+  // Cross-function ties with equal execution durations (any order of a tie
+  // group is the same output) ...
+  add_app({MakeFunction(20.0, {0, 10, 10, 30}), MakeFunction(20.0, {10, 30}),
+           MakeFunction(20.0, {10, 31})});
+  // ... and with different ones, early, late and everywhere.
+  add_app({MakeFunction(20.0, {0, 10, 20, 30}), MakeFunction(25.0, {0, 15})});
+  add_app({MakeFunction(20.0, {0, 10, 20, 30}), MakeFunction(25.0, {5, 30})});
+  add_app({MakeFunction(100.0, sorted_instants(2000, 600)),
+           MakeFunction(250.0, sorted_instants(2000, 600)),
+           MakeFunction(100.0, sorted_instants(500, 600))});
+  // A 300-function app with distinct instants and durations (a pure
+  // merge), one with colliding instants but one duration, and one whose
+  // colliding instants mix durations.
+  std::vector<FunctionTrace> distinct;
+  std::vector<FunctionTrace> same_exec;
+  std::vector<FunctionTrace> mixed;
+  for (int f = 0; f < 300; ++f) {
+    std::vector<int64_t> instants = sorted_instants(1 + f % 40, 100'000);
+    for (int64_t& t : instants) {
+      t = t * 300 + f;
+    }
+    distinct.push_back(MakeFunction(1.0 + f, instants));
+    same_exec.push_back(MakeFunction(60.0, sorted_instants(1 + f % 40, 5000)));
+    mixed.push_back(MakeFunction(1.0 + f % 3, sorted_instants(1 + f % 40, 5000)));
+  }
+  add_app(std::move(distinct));
+  add_app(std::move(same_exec));
+  add_app(std::move(mixed));
+  return trace;
+}
+
+TEST(CompiledTraceTest, RunMergeMatchesLegacySort) {
+  const Trace trace = MakeMergeCases();
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const CompiledTrace compiled = CompiledTrace::Compile(trace, threads);
+    ASSERT_EQ(compiled.num_apps(), trace.apps.size());
+    for (size_t a = 0; a < trace.apps.size(); ++a) {
+      std::vector<int64_t> times;
+      std::vector<int64_t> exec;
+      ReferenceMerge(trace.apps[a], &times, &exec);
+      const CompiledTrace::AppSpan span = compiled.spans[a];
+      EXPECT_EQ(std::vector<int64_t>(compiled.times_ms.begin() + span.begin,
+                                     compiled.times_ms.begin() + span.end),
+                times)
+          << "app " << a;
+      EXPECT_EQ(std::vector<int64_t>(compiled.exec_ms.begin() + span.begin,
+                                     compiled.exec_ms.begin() + span.end),
+                exec)
+          << "app " << a;
     }
   }
 }

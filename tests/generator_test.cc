@@ -1,7 +1,13 @@
 #include "src/workload/generator.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -183,6 +189,129 @@ TEST_F(GeneratorCalibrationTest, OwnersGroupMultipleApps) {
   }
   EXPECT_LT(owners.size(), trace().apps.size());
   EXPECT_GT(owners.size(), trace().apps.size() / 8);
+}
+
+// FNV-1a over a trace's generated content: every app's ids and memory
+// average, every function's id, trigger and execution average, and every
+// invocation instant, in trace order.  Entity indexes are left out, so a
+// shard-sliced trace hashes like the same apps inside Generate().
+class TraceDigest {
+ public:
+  void Add(const Trace& trace) {
+    for (const AppTrace& app : trace.apps) {
+      AddString(app.owner_id);
+      AddString(app.app_id);
+      AddWord(std::bit_cast<uint64_t>(app.memory.average_mb));
+      AddWord(app.functions.size());
+      for (const FunctionTrace& function : app.functions) {
+        AddString(function.function_id);
+        AddWord(static_cast<uint64_t>(function.trigger));
+        AddWord(std::bit_cast<uint64_t>(function.execution.average_ms));
+        AddWord(function.invocations.size());
+        for (TimePoint t : function.invocations) {
+          AddWord(static_cast<uint64_t>(t.millis_since_origin()));
+        }
+      }
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(unsigned char byte) {
+    hash_ = (hash_ ^ byte) * 0x100000001B3ull;
+  }
+  void AddWord(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      AddByte(static_cast<unsigned char>(word >> (8 * i)));
+    }
+  }
+  void AddString(std::string_view text) {
+    AddWord(text.size());
+    for (char c : text) {
+      AddByte(static_cast<unsigned char>(c));
+    }
+  }
+
+  uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+struct GoldenCase {
+  const char* name;
+  GeneratorConfig config;
+  uint64_t digest;
+  int64_t invocations;
+};
+
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+  {
+    // The policy-experiment trace (bench_common.h MakePolicyTrace) at a
+    // tenth of its apps, with pattern changes switched on.
+    GoldenCase c{"policy_scale", {}, 0xED037C0AE15B88DFull, 561148};
+    c.config.num_apps = 120;
+    c.config.days = 7;
+    c.config.seed = 20190715;
+    c.config.instants_rate_cap_per_day = 4000.0;
+    c.config.pattern_change_fraction = 0.3;
+    cases.push_back(c);
+  }
+  {
+    // Two weeks: the diurnal profile wraps its week.
+    GoldenCase c{"two_weeks", {}, 0x0E061D7CB64BED24ull, 377246};
+    c.config.num_apps = 60;
+    c.config.days = 14;
+    c.config.seed = 91;
+    c.config.instants_rate_cap_per_day = 2000.0;
+    cases.push_back(c);
+  }
+  {
+    // Peak just before midnight: the daily hump straddles the day wrap.
+    GoldenCase c{"peak_before_midnight", {}, 0xD120F728057A0B1Cull, 70082};
+    c.config.num_apps = 60;
+    c.config.days = 3;
+    c.config.seed = 92;
+    c.config.instants_rate_cap_per_day = 2000.0;
+    c.config.peak_hour_utc = 23.99;
+    cases.push_back(c);
+  }
+  {
+    // Peak at midnight, flat weekends and a higher baseline.
+    GoldenCase c{"peak_at_midnight", {}, 0x515196EF6689020Cull, 159210};
+    c.config.num_apps = 60;
+    c.config.days = 7;
+    c.config.seed = 93;
+    c.config.instants_rate_cap_per_day = 2000.0;
+    c.config.peak_hour_utc = 0.0;
+    c.config.weekend_dampening = 0.0;
+    c.config.diurnal_baseline = 0.6;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+// Pins the generated stream bit for bit.  DeterministicForSameSeed only
+// compares two runs of the same build; a change to the arrival samplers or
+// the thinning test that moves any instant fails here.
+TEST(GeneratorGoldenTest, DigestIsUnchanged) {
+  for (const GoldenCase& c : GoldenCases()) {
+    SCOPED_TRACE(c.name);
+    WorkloadGenerator generator(c.config);
+    const Trace trace = generator.Generate(/*num_threads=*/1);
+    TraceDigest digest;
+    digest.Add(trace);
+    EXPECT_EQ(trace.TotalInvocations(), c.invocations);
+    EXPECT_EQ(digest.value(), c.digest);
+
+    // Shard slices, materialized on the pool, concatenate to the same
+    // stream.
+    TraceDigest sliced;
+    const int n = generator.num_sampled_apps();
+    for (int begin = 0; begin < n; begin += 17) {
+      sliced.Add(generator.GenerateShard(begin, std::min(begin + 17, n),
+                                         /*num_threads=*/4));
+    }
+    EXPECT_EQ(sliced.value(), digest.value());
+  }
 }
 
 TEST(GeneratorEdgeCaseTest, SingleAppSingleDay) {

@@ -22,14 +22,19 @@
 # the Nelder-Mead suite, whose scratch buffers are swapped into the simplex,
 # ride the UBSan and ASan legs, as do the shared overload mechanisms
 # (overload_core_test: the circuit breaker's ring indices and epoch
-# arithmetic, the hedge trigger, the admission-queue discipline) and the
-# scripted-clock admission-bridge suite (bridge_test).  After tier-1, the
-# determinism tests (names matching BitIdentical|Determinis|AcrossThreads)
-# run 20 times each, stopping at the first failure, so a flaky thread-count
-# dependence shows up as a red check rather than a rare one; then 20 times
-# more with FAAS_POOL_THREADS at twice the core count, so the shared pool
-# runs more workers than there are cores.  The
-# serve-chaos suite (chaos-plan grammar, idempotency index, recovery-ledger
+# arithmetic, the hedge trigger, the admission-queue discipline), the
+# scripted-clock admission-bridge suite (bridge_test), and the arrival and
+# generator suites (arrival_test, generator_test: the diurnal profile's
+# minute-of-week band index and the generator's golden stream digest; not
+# GeneratorCalibrationTest, whose twelve test processes each regenerate a
+# 1500-app week to check statistics: about 20 CPU-seconds under ASan, at
+# the start of the leg, beside its wall-clock serving tests).
+# After tier-1, the determinism tests (names matching
+# BitIdentical|Determinis|AcrossThreads) run 20 times each, stopping at the
+# first failure, so a flaky thread-count dependence shows up as a red check
+# rather than a rare one; then 20 times more with FAAS_POOL_THREADS at
+# twice the core count, so the shared pool runs more workers than there are
+# cores.  The serve-chaos suite (chaos-plan grammar, idempotency index, recovery-ledger
 # merges, plus the loopback watchdog/degrade/drain-under-stall tests) rides
 # the TSan and ASan serving legs: TSan crosses the watchdog timers with
 # Snapshot/Stop, ASan watches the frozen-key and dedupe-shard storage.
@@ -110,9 +115,9 @@ else
       telemetry_metrics_test telemetry_tracer_test telemetry_export_test \
       telemetry_integration_test resource_ledger_test \
       series_test arima_model_test auto_arima_test nelder_mead_test \
-      overload_core_test bridge_test
+      overload_core_test bridge_test arrival_test generator_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead|DiurnalProfile|PoissonArrivals|BurstyArrivals|GeneratorGolden|GeneratorEdgeCase')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -128,12 +133,12 @@ else
       serve_codec_test serve_loopback_test serve_chaos_test timer_wheel_test \
       latency_recorder_test resource_ledger_test \
       series_test arima_model_test auto_arima_test nelder_mead_test \
-      overload_core_test bridge_test
+      overload_core_test bridge_test arrival_test generator_test
   # SweepStream covers the faults + streaming smoke
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep recycles its shard arena.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead|DiurnalProfile|PoissonArrivals|BurstyArrivals|GeneratorGolden|GeneratorEdgeCase')
 fi
 
 echo "== all checks passed =="
