@@ -373,6 +373,8 @@ ClusterResult ClusterSimulator::Replay(const Trace& trace,
   // Flush any still-queued admissions and close open breaker intervals now
   // that the event queue has fully drained.
   controller.FinalizeOverload();
+  result.pending_activations =
+      static_cast<int64_t>(controller.pending_activations());
   for (const auto& invoker : invokers) {
     result.total_cold_starts += invoker->cold_starts();
     result.total_warm_starts += invoker->warm_starts();

@@ -140,6 +140,9 @@ struct ClusterResult {
   int64_t total_rejected_outage = 0;
   int64_t total_abandoned = 0;
   int64_t total_lost = 0;
+  // Activations the controller still tracked once the event queue ran dry:
+  // 0 unless a report was lost with no activation timeout to catch it.
+  int64_t pending_activations = 0;
 
   // Everything the fault machinery observed (crashes, retries, timeouts,
   // state wipes, degraded-mode recoveries); all-zero for fault-free runs.

@@ -183,68 +183,6 @@ const Controller::AppStats& Controller::StatsFor(AppId app_id) const {
   return app_stats_[app_id.index()];
 }
 
-Controller::DispatchOutcome Controller::Dispatch(
-    AppState& state, const ActivationMessage& message, int exclude_invoker,
-    int* accepted_invoker) {
-  const size_t n = invokers_.size();
-  bool saw_unhealthy = false;
-  // One placement attempt against one invoker; shared by both LB policies.
-  const auto try_invoker = [&](size_t index) -> bool {
-    if (static_cast<int>(index) == exclude_invoker) {
-      return false;  // A hedge never lands on its primary's invoker.
-    }
-    if (!invokers_[index]->healthy()) {
-      saw_unhealthy = true;
-      return false;
-    }
-    if (!breakers_.empty() && !breakers_[index].Admits()) {
-      ++overload_ledger_.breaker_rejections;
-      IncCounter(&ClusterInstruments::breaker_rejected);
-      return false;
-    }
-    if (invokers_[index]->HandleActivation(message)) {
-      if (!breakers_.empty()) {
-        breakers_[index].NoteDispatch();
-      }
-      if (accepted_invoker != nullptr) {
-        *accepted_invoker = static_cast<int>(index);
-      }
-      return true;
-    }
-    return false;
-  };
-  if (load_balancing_ == LoadBalancingPolicy::kLeastLoaded) {
-    // Try invokers in order of free memory (most free first).
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) {
-      order[i] = i;
-    }
-    std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-      const double free_a =
-          invokers_[a]->memory_capacity_mb() - invokers_[a]->memory_in_use_mb();
-      const double free_b =
-          invokers_[b]->memory_capacity_mb() - invokers_[b]->memory_in_use_mb();
-      return free_a > free_b;
-    });
-    for (size_t index : order) {
-      if (try_invoker(index)) {
-        return DispatchOutcome::kAccepted;
-      }
-    }
-    return saw_unhealthy ? DispatchOutcome::kOutage
-                         : DispatchOutcome::kNoCapacity;
-  }
-  for (size_t attempt = 0; attempt < n; ++attempt) {
-    const size_t index =
-        (static_cast<size_t>(state.home_invoker) + attempt) % n;
-    if (try_invoker(index)) {
-      return DispatchOutcome::kAccepted;
-    }
-  }
-  return saw_unhealthy ? DispatchOutcome::kOutage
-                       : DispatchOutcome::kNoCapacity;
-}
-
 void Controller::OnInvocation(AppId app_id, FunctionId function_id,
                               Duration execution, double memory_mb) {
   AppState& state = GetOrCreateApp(app_id);
@@ -343,45 +281,7 @@ void Controller::SendAttempt(int64_t activation_id) {
         retry_.activation_timeout,
         [this, activation_id]() { OnTimeout(activation_id); });
   }
-
-  if (rpc_ != nullptr) {
-    // Network mode: the request's uplink transit IS the dispatch hop, so
-    // the sampled hop below is skipped and placement becomes an async probe
-    // walk over the candidate invokers.
-    StartNetworkScan(activation_id, /*exclude_invoker=*/-1);
-    return;
-  }
-
-  // Model the controller -> invoker messaging hop.
-  const Duration dispatch_delay = latency_.SampleDispatch(rng_);
-  queue_->ScheduleAfter(dispatch_delay, [this, activation_id, message]() {
-    auto pending_it = pending_.find(activation_id);
-    if (pending_it == pending_.end()) {
-      return;  // Timed out in flight.
-    }
-    AppState& app_state = apps_[message.app_id.index()];
-    int accepted = -1;
-    switch (Dispatch(app_state, message, /*exclude_invoker=*/-1, &accepted)) {
-      case DispatchOutcome::kAccepted:
-        pending_it->second.dispatched_invoker = accepted;
-        MaybeArmHedge(activation_id);
-        return;
-      case DispatchOutcome::kNoCapacity:
-        if (overload_.admission.enabled()) {
-          // Saturation with the control plane on: park the activation in
-          // the bounded admission queue and wait for a container release.
-          EnqueueAdmission(activation_id);
-          return;
-        }
-        // Memory pressure with every worker up: drop, as before the chaos
-        // engine (retrying against a full cluster is not failover).
-        DropForCapacity(activation_id);
-        return;
-      case DispatchOutcome::kOutage:
-        FailAttempt(activation_id, FailureClass::kOutage);
-        return;
-    }
-  });
+  PlaceAfterHop(activation_id, /*exclude_invoker=*/-1, message);
 }
 
 void Controller::DropForCapacity(int64_t activation_id) {
@@ -401,30 +301,43 @@ void Controller::DropForCapacity(int64_t activation_id) {
   ++total_dropped_;
 }
 
-// --- Network-mode dispatch ------------------------------------------------
+// --- Placement scan --------------------------------------------------------
 //
-// With the network model on, the synchronous Dispatch loop cannot work: each
-// placement attempt is a real round trip that can be lost, retransmitted, or
-// partitioned away.  The scan below probes one candidate at a time with an
-// at-most-once RPC; the invoker-side handler runs HandleActivation, and the
-// response's bool is the accept/decline.  A probe whose retransmit budget is
-// spent marks the link suspect (the breaker hears about it) and the scan
-// moves on — that is the partition-aware failover.
+// One placement is one walk over the candidate invokers, one probe at a
+// time.  With the network off a probe is a direct HandleActivation call and
+// the walk finishes inside AdvanceScan.  With the network on a probe is an
+// at-most-once RPC whose response carries the accept/decline; a probe whose
+// retransmit budget is spent marks the link suspect (the breaker hears
+// about it) and the scan moves on — that is the partition-aware failover.
 
-void Controller::StartNetworkScan(int64_t activation_id,
-                                  int exclude_invoker) {
-  auto it = pending_.find(activation_id);
-  if (it == pending_.end()) {
+void Controller::PlaceAfterHop(int64_t activation_id, int exclude_invoker,
+                               const ActivationMessage& message) {
+  if (rpc_ != nullptr) {
+    StartScan(activation_id, exclude_invoker, message);
     return;
   }
+  const Duration dispatch_delay = latency_.SampleDispatch(rng_);
+  queue_->ScheduleAfter(dispatch_delay,
+                        [this, activation_id, exclude_invoker, message]() {
+                          StartScan(activation_id, exclude_invoker, message);
+                        });
+}
+
+void Controller::StartScan(int64_t activation_id, int exclude_invoker,
+                           const ActivationMessage& message) {
+  auto it = pending_.find(activation_id);
+  if (it == pending_.end()) {
+    return;  // Timed out, or the hedge's primary completed, during the hop.
+  }
   PendingActivation& pending = it->second;
-  pending.net_candidates.clear();
-  pending.net_pos = 0;
-  pending.net_saw_unhealthy = false;
-  pending.net_saw_giveup = false;
+  pending.scan_message = message;
+  pending.scan_candidates.clear();
+  pending.scan_pos = 0;
+  pending.scan_saw_unhealthy = false;
+  pending.scan_saw_giveup = false;
   const size_t n = invokers_.size();
   if (load_balancing_ == LoadBalancingPolicy::kLeastLoaded) {
-    // Free-memory order snapshotted at scan start (the probe walk takes
+    // Free-memory order snapshotted at scan start (an RPC walk takes
     // simulated time, but re-sorting mid-scan could revisit invokers).
     std::vector<size_t> order(n);
     for (size_t i = 0; i < n; ++i) {
@@ -439,35 +352,37 @@ void Controller::StartNetworkScan(int64_t activation_id,
     });
     for (size_t index : order) {
       if (static_cast<int>(index) != exclude_invoker) {
-        pending.net_candidates.push_back(static_cast<int>(index));
+        pending.scan_candidates.push_back(static_cast<int>(index));
       }
     }
   } else {
+    // Home invoker first (container affinity, like OpenWhisk's hash-based
+    // co-primary), then the rest round-robin.
     const AppState& state = apps_[pending.app_id.index()];
     for (size_t attempt = 0; attempt < n; ++attempt) {
       const size_t index =
           (static_cast<size_t>(state.home_invoker) + attempt) % n;
       if (static_cast<int>(index) != exclude_invoker) {
-        pending.net_candidates.push_back(static_cast<int>(index));
+        pending.scan_candidates.push_back(static_cast<int>(index));
       }
     }
   }
-  AdvanceNetworkScan(activation_id);
+  AdvanceScan(activation_id);
 }
 
-void Controller::AdvanceNetworkScan(int64_t activation_id) {
+void Controller::AdvanceScan(int64_t activation_id) {
   auto it = pending_.find(activation_id);
   if (it == pending_.end()) {
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
+    ScanEnded(activation_id);
     return;
   }
   PendingActivation& pending = it->second;
-  while (pending.net_pos < pending.net_candidates.size()) {
-    const int invoker_id = pending.net_candidates[pending.net_pos];
-    ++pending.net_pos;
+  while (pending.scan_pos < pending.scan_candidates.size()) {
+    const int invoker_id = pending.scan_candidates[pending.scan_pos];
+    ++pending.scan_pos;
     const auto index = static_cast<size_t>(invoker_id);
     if (!invokers_[index]->healthy()) {
-      pending.net_saw_unhealthy = true;
+      pending.scan_saw_unhealthy = true;
       continue;
     }
     if (!breakers_.empty() && !breakers_[index].Admits()) {
@@ -475,71 +390,70 @@ void Controller::AdvanceNetworkScan(int64_t activation_id) {
       IncCounter(&ClusterInstruments::breaker_rejected);
       continue;
     }
-    const ActivationMessage message = BuildMessage(activation_id, pending);
     Invoker* invoker = invokers_[index];
+    auto probe = [invoker, message = pending.scan_message]() {
+      return invoker->HandleActivation(message);
+    };
+    if (rpc_ == nullptr) {
+      if (probe()) {
+        OnProbeAccepted(activation_id, invoker_id);
+        return;
+      }
+      continue;  // Declined: the next candidate, in this same call.
+    }
     // The handler is carried by the request itself: a request that arrives
     // after this scan moved on still executes (a zombie the duplicate
     // suppression and the pending-table re-key render harmless).
     rpc_->Call(
-        invoker_id,
-        [invoker, message]() { return invoker->HandleActivation(message); },
+        invoker_id, std::move(probe),
         [this, activation_id, invoker_id](bool accepted) {
-          OnNetDispatchResponse(activation_id, invoker_id, accepted);
+          if (accepted) {
+            OnProbeAccepted(activation_id, invoker_id);
+          } else {
+            OnProbeMissed(activation_id);
+          }
         },
         [this, activation_id, invoker_id]() {
-          OnNetDispatchGiveUp(activation_id, invoker_id);
+          OnProbeGiveUp(activation_id, invoker_id);
         });
-    return;  // One probe outstanding; the response continues the scan.
+    return;  // One probe outstanding; its outcome continues the scan.
   }
-  FinishNetworkScan(activation_id);
+  FinishScan(activation_id);
 }
 
-void Controller::OnNetDispatchResponse(int64_t activation_id, int invoker,
-                                       bool accepted) {
-  if (accepted && !breakers_.empty()) {
+void Controller::OnProbeAccepted(int64_t activation_id, int invoker) {
+  if (!breakers_.empty()) {
     // Half-open probe accounting happens when the controller LEARNS of the
     // accept (the response), not when the invoker accepted.
     breakers_[static_cast<size_t>(invoker)].NoteDispatch();
   }
   auto it = pending_.find(activation_id);
-  if (it == pending_.end()) {
-    // Superseded mid-flight (timeout/retry/shed).  An accepted request is
-    // now a zombie execution; its completion will miss the pending table.
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
-    return;
-  }
-  if (!accepted) {
-    AdvanceNetworkScan(activation_id);
-    return;
-  }
-  PendingActivation& pending = it->second;
-  pending.dispatched_invoker = invoker;
-  if (pending.queued) {
-    // Drain probe landed: the head leaves the admission queue.
-    pending.queued = false;
-    pending.shed_event.Cancel();
-    admission_queue_.EraseIf([activation_id](int64_t id) {
-      return id == activation_id;
-    });
-    const double wait_ms =
-        (queue_->now() - pending.queued_since).seconds() * 1e3;
-    ++overload_ledger_.drained;
-    overload_ledger_.total_queue_wait_ms += wait_ms;
-    overload_ledger_.max_queue_wait_ms =
-        std::max(overload_ledger_.max_queue_wait_ms, wait_ms);
-    if (collect_latencies_) {
-      queue_wait_ms_.push_back(wait_ms);
+  if (it != pending_.end()) {
+    PendingActivation& pending = it->second;
+    pending.dispatched_invoker = invoker;
+    if (pending.queued) {
+      BookDrain(activation_id, pending);
     }
-    ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
-    RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
-               queue_->now() - pending.queued_since, activation_id,
-               /*arg0=*/1);
+    MaybeArmHedge(activation_id);
   }
-  MaybeArmHedge(activation_id);
-  NetScanEnded(activation_id, /*reprobe_drain=*/true);
+  // Otherwise superseded mid-flight (timeout/retry/report): an accepted
+  // request is now a zombie execution whose completion misses the table.
+  ScanEnded(activation_id);
 }
 
-void Controller::OnNetDispatchGiveUp(int64_t activation_id, int invoker) {
+void Controller::OnProbeMissed(int64_t activation_id) {
+  auto it = pending_.find(activation_id);
+  if (it != pending_.end() && it->second.queued &&
+      it->second.deferred_shed.has_value()) {
+    // The shed that came due during the probe lands now.
+    ShedActivation(activation_id, *it->second.deferred_shed);
+    ScanEnded(activation_id);
+    return;
+  }
+  AdvanceScan(activation_id);
+}
+
+void Controller::OnProbeGiveUp(int64_t activation_id, int invoker) {
   // Partition-aware breaker/failover interaction: a spent retransmit budget
   // is a bad outcome for the LINK, fed to the invoker's breaker whether or
   // not the activation still exists — repeated give-ups open the breaker
@@ -550,30 +464,24 @@ void Controller::OnNetDispatchGiveUp(int64_t activation_id, int invoker) {
                          /*bad=*/true, NowNs(), overload_ledger_));
   }
   auto it = pending_.find(activation_id);
-  if (it == pending_.end()) {
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
-    return;
+  if (it != pending_.end()) {
+    it->second.scan_saw_giveup = true;
   }
-  it->second.net_saw_giveup = true;
-  AdvanceNetworkScan(activation_id);
+  OnProbeMissed(activation_id);
 }
 
-void Controller::FinishNetworkScan(int64_t activation_id) {
+void Controller::FinishScan(int64_t activation_id) {
   auto it = pending_.find(activation_id);
-  if (it == pending_.end()) {
-    NetScanEnded(activation_id, /*reprobe_drain=*/true);
+  if (it == pending_.end() || it->second.queued) {
+    // Superseded, or a drain probe that found no room: the head stays
+    // parked and the next release starts the next probe.
+    ScanEnded(activation_id);
     return;
   }
   PendingActivation& pending = it->second;
-  if (pending.queued) {
-    // Drain probe found no room: the head stays parked; the next release
-    // starts the next probe.
-    NetScanEnded(activation_id, /*reprobe_drain=*/false);
-    return;
-  }
   if (pending.is_hedge) {
-    // No other invoker took the hedge: it fizzles and the primary carries
-    // the activation alone (mirrors the sync LaunchHedge fallback).
+    // No other invoker took the hedge: it fizzles quietly and the primary
+    // carries the activation alone.
     ++overload_ledger_.hedges_unplaced;
     auto primary_it = pending_.find(pending.hedge_partner);
     if (primary_it != pending_.end()) {
@@ -583,40 +491,58 @@ void Controller::FinishNetworkScan(int64_t activation_id) {
     SetQueueDepthGauge();
     return;
   }
-  if (pending.net_saw_giveup) {
+  if (pending.scan_saw_giveup) {
     ++ledger_.network_failures;
     FailAttempt(activation_id, FailureClass::kNetwork);
     return;
   }
-  if (pending.net_saw_unhealthy) {
+  if (pending.scan_saw_unhealthy) {
     FailAttempt(activation_id, FailureClass::kOutage);
     return;
   }
   if (overload_.admission.enabled()) {
+    // Saturation with the control plane on: park the activation in the
+    // bounded admission queue and wait for a container release.
     EnqueueAdmission(activation_id);
     return;
   }
+  // Memory pressure with every worker up: drop, as before the chaos engine
+  // (retrying against a full cluster is not failover).
   DropForCapacity(activation_id);
 }
 
+bool Controller::StillQueued(int64_t activation_id) const {
+  const auto it = pending_.find(activation_id);
+  return it != pending_.end() && it->second.queued;
+}
+
 void Controller::ProbeAdmissionHead() {
-  if (net_drain_id_ != 0) {
+  if (drain_id_ != 0) {
     return;  // A head probe is already walking the cluster.
   }
-  const auto it = LiveAdmissionHead();
-  if (it != pending_.end()) {
-    // The head stays in the deque while probing; acceptance erases it.
-    net_drain_id_ = it->first;
-    StartNetworkScan(it->first, /*exclude_invoker=*/-1);
+  // A loop, not recursion through ScanEnded: one drain can serve thousands
+  // of heads.  The activation already paid its controller->invoker hop
+  // before it was parked, so the scan starts at once.
+  for (auto it = LiveAdmissionHead(); it != pending_.end();
+       it = LiveAdmissionHead()) {
+    const int64_t id = it->first;
+    drain_id_ = id;
+    StartScan(id, /*exclude_invoker=*/-1, BuildMessage(id, it->second));
+    if (StillQueued(id)) {
+      return;  // Its RPC probe is in flight, or it found no room.
+    }
   }
 }
 
-void Controller::NetScanEnded(int64_t activation_id, bool reprobe_drain) {
-  if (net_drain_id_ != activation_id) {
+void Controller::ScanEnded(int64_t activation_id) {
+  if (drain_id_ != activation_id) {
     return;
   }
-  net_drain_id_ = 0;
-  if (reprobe_drain) {
+  drain_id_ = 0;
+  // Inline probes end inside ProbeAdmissionHead's loop, which serves the
+  // next head itself; a head still queued found no room and waits for the
+  // next release.
+  if (rpc_ != nullptr && !StillQueued(activation_id)) {
     ProbeAdmissionHead();
   }
 }
@@ -664,12 +590,6 @@ void Controller::FailAttempt(int64_t activation_id, FailureClass failure) {
     // again and has no accepted invoker yet.
     moved.hedge_launched = false;
     moved.dispatched_invoker = -1;
-    // Any in-flight probe of the failed attempt still references the old id
-    // and will miss the table; the fresh attempt scans from scratch.
-    moved.net_candidates.clear();
-    moved.net_pos = 0;
-    moved.net_saw_unhealthy = false;
-    moved.net_saw_giveup = false;
     pending_.erase(it);
     pending_.emplace(new_id, std::move(moved));
     queue_->ScheduleAfter(backoff,
@@ -741,6 +661,10 @@ void Controller::OnFailure(const FailureMessage& message) {
   if (it == pending_.end()) {
     return;  // A superseded (already retried / timed-out) attempt.
   }
+  if (it->second.queued) {
+    // The report overtook the drain probe's response: the invoker took it.
+    BookDrain(message.activation_id, it->second);
+  }
   if (message.kind == FailureKind::kCrash) {
     ++ledger_.lost_in_flight;
     FailAttempt(message.activation_id, FailureClass::kCrash);
@@ -774,6 +698,11 @@ void Controller::OnCompletion(const CompletionMessage& message) {
   auto pending_it = pending_.find(message.activation_id);
   if (pending_it == pending_.end()) {
     return;  // Zombie execution of a timed-out attempt: result discarded.
+  }
+  if (pending_it->second.queued) {
+    // The completion overtook the drain probe's response: the invoker took
+    // the activation, so it was drained.
+    BookDrain(message.activation_id, pending_it->second);
   }
   // First-completion-wins: the losing attempt of a hedged pair is erased
   // here; its execution finishes as a zombie and is discarded above — that
@@ -909,43 +838,33 @@ void Controller::OnCapacityReleased() {
 
 void Controller::DrainAdmissionQueue() {
   drain_scheduled_ = false;
-  if (rpc_ != nullptr) {
-    // Network mode: the sync while-loop below cannot wait on a round trip,
-    // so the drain becomes one async head probe at a time.
-    ProbeAdmissionHead();
-    return;
-  }
-  for (auto it = LiveAdmissionHead(); it != pending_.end();
-       it = LiveAdmissionHead()) {
-    const int64_t id = it->first;
-    // The activation already paid its controller->invoker hop before it was
-    // parked, so drains dispatch directly.
-    AppState& state = apps_[it->second.app_id.index()];
-    const ActivationMessage message = BuildMessage(id, it->second);
-    int accepted = -1;
-    if (Dispatch(state, message, /*exclude_invoker=*/-1, &accepted) !=
-        DispatchOutcome::kAccepted) {
-      return;  // Still no room: wait for the next release.
-    }
+  ProbeAdmissionHead();
+}
+
+void Controller::BookDrain(int64_t activation_id, PendingActivation& pending) {
+  // A drained head is usually still at the served end; under LIFO an
+  // arrival can cover it while an RPC probe is in flight.
+  if (!admission_queue_.empty() && admission_queue_.Next() == activation_id) {
     admission_queue_.PopNext();
-    PendingActivation& pending = it->second;
-    pending.queued = false;
-    pending.shed_event.Cancel();
-    pending.dispatched_invoker = accepted;
-    const double wait_ms =
-        (queue_->now() - pending.queued_since).seconds() * 1e3;
-    ++overload_ledger_.drained;
-    overload_ledger_.total_queue_wait_ms += wait_ms;
-    overload_ledger_.max_queue_wait_ms =
-        std::max(overload_ledger_.max_queue_wait_ms, wait_ms);
-    if (collect_latencies_) {
-      queue_wait_ms_.push_back(wait_ms);
-    }
-    ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
-    RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
-               queue_->now() - pending.queued_since, id, /*arg0=*/1);
-    MaybeArmHedge(id);
+  } else {
+    admission_queue_.EraseIf(
+        [activation_id](int64_t id) { return id == activation_id; });
   }
+  pending.queued = false;
+  pending.shed_event.Cancel();
+  const double wait_ms =
+      (queue_->now() - pending.queued_since).seconds() * 1e3;
+  ++overload_ledger_.drained;
+  overload_ledger_.total_queue_wait_ms += wait_ms;
+  overload_ledger_.max_queue_wait_ms =
+      std::max(overload_ledger_.max_queue_wait_ms, wait_ms);
+  if (collect_latencies_) {
+    queue_wait_ms_.push_back(wait_ms);
+  }
+  ObserveHistogram(&ClusterInstruments::queue_wait_ms, wait_ms);
+  RecordSpan(SpanName::kAdmissionQueue, pending.queued_since,
+             queue_->now() - pending.queued_since, activation_id,
+             /*arg0=*/1);
 }
 
 Controller::PendingMap::iterator Controller::LiveAdmissionHead() {
@@ -979,11 +898,12 @@ void Controller::EnqueueAdmission(int64_t activation_id) {
       ShedActivation(activation_id, ShedReason::kQueueFull);
       return;
     }
-    ShedActivation(*victim, ShedReason::kQueueFull);
+    ShedOrDefer(*victim, ShedReason::kQueueFull);
   }
   PendingActivation& pending = it->second;
   pending.queued = true;
   pending.queued_since = queue_->now();
+  pending.deferred_shed.reset();
   ++overload_ledger_.queued;
   IncCounter(&ClusterInstruments::queued);
   admission_queue_.Push(activation_id);
@@ -994,9 +914,19 @@ void Controller::EnqueueAdmission(int64_t activation_id) {
           if (sit == pending_.end() || !sit->second.queued) {
             return;  // Drained or superseded before the deadline.
           }
-          ShedActivation(activation_id, ShedReason::kDeadline);
+          ShedOrDefer(activation_id, ShedReason::kDeadline);
         });
   }
+}
+
+void Controller::ShedOrDefer(int64_t activation_id, ShedReason reason) {
+  if (activation_id == drain_id_) {
+    // The invoker may accept the in-flight probe; shedding now would count
+    // the activation dropped while it runs.
+    pending_.at(activation_id).deferred_shed = reason;
+    return;
+  }
+  ShedActivation(activation_id, reason);
 }
 
 void Controller::ShedActivation(int64_t activation_id, ShedReason reason) {
@@ -1089,38 +1019,9 @@ void Controller::LaunchHedge(int64_t primary_id) {
   IncCounter(&ClusterInstruments::hedges);
   RecordInstant(SpanName::kHedge, primary_id);
   SetQueueDepthGauge();
-
-  // The hedge pays its own controller->invoker hop, then dispatches away
-  // from the invoker the primary landed on.
-  if (rpc_ != nullptr) {
-    // Network mode: the hedge's uplink transit is its hop; the scan
-    // excludes the primary's invoker and fizzles via FinishNetworkScan.
-    StartNetworkScan(hedge_id, exclude);
-    return;
-  }
-  const Duration dispatch_delay = latency_.SampleDispatch(rng_);
-  queue_->ScheduleAfter(dispatch_delay, [this, hedge_id, message, exclude]() {
-    auto hedge_it = pending_.find(hedge_id);
-    if (hedge_it == pending_.end()) {
-      return;  // The primary completed while the hedge was in flight.
-    }
-    AppState& app_state = apps_[message.app_id.index()];
-    int accepted = -1;
-    if (Dispatch(app_state, message, exclude, &accepted) ==
-        DispatchOutcome::kAccepted) {
-      hedge_it->second.dispatched_invoker = accepted;
-      return;
-    }
-    // No other invoker had room: the hedge fizzles quietly and the primary
-    // carries the activation alone.
-    ++overload_ledger_.hedges_unplaced;
-    auto primary_it = pending_.find(hedge_it->second.hedge_partner);
-    if (primary_it != pending_.end()) {
-      primary_it->second.hedge_partner = 0;
-    }
-    pending_.erase(hedge_it);
-    SetQueueDepthGauge();
-  });
+  // The hedge pays its own controller->invoker hop, then scans away from
+  // the invoker the primary landed on.
+  PlaceAfterHop(hedge_id, exclude, message);
 }
 
 // --- Circuit breakers ------------------------------------------------------

@@ -17,9 +17,17 @@
 // Terminal outcomes are split by cause (memory drop / outage rejection /
 // timeout abandonment / crash loss) and recorded in a FaultLedger.
 //
+// Placement is one candidate scan: home invoker first and then round-robin
+// (or most free memory first, snapshotted when the scan starts), probing one
+// candidate at a time until one accepts.  Only the probe depends on the
+// transport.  With the network model off it is a direct HandleActivation
+// call, so the whole scan runs inline, after one sampled controller->invoker
+// hop.  With the network on each probe is an RPC (src/cluster/network.h),
+// and its response or give-up continues the scan.
+//
 // The overload control plane (src/cluster/overload.h, whose CircuitBreaker,
 // HedgeTrigger and AdmissionQueue the serving AdmissionBridge shares) layers
-// three mechanisms on top of that dispatch path, all disabled by default:
+// three mechanisms on top of that scan, all disabled by default:
 // saturation parks activations in a bounded admission queue that drains on
 // container-release callbacks (instead of dropping or blind-retrying),
 // per-invoker circuit breakers deflect dispatches away from failing or slow
@@ -33,6 +41,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -311,12 +320,6 @@ class Controller {
   int64_t policy_invocations() const { return policy_invocations_; }
 
  private:
-  // How a dispatch attempt ended.
-  enum class DispatchOutcome {
-    kAccepted,
-    kNoCapacity,  // Every healthy invoker was out of memory.
-    kOutage,      // Placement failed and at least one invoker was down.
-  };
   // Why an attempt failed (kNone = never failed).
   enum class FailureClass {
     kNone,
@@ -364,6 +367,9 @@ class Controller {
     bool queued = false;
     TimePoint queued_since;
     EventQueue::Handle shed_event;  // CoDel age-bound timer.
+    // A shed that came due while this queued activation's drain probe was
+    // in flight.  It lands only if the probe does not place the activation.
+    std::optional<ShedReason> deferred_shed;
     // Hedged dispatch.  A hedged pair is two pending entries linked by
     // `hedge_partner`; the first completion erases the partner (whose
     // execution becomes a discarded zombie — that is the cancellation).
@@ -374,13 +380,12 @@ class Controller {
     EventQueue::Handle hedge_event;  // Launch timer, armed on dispatch.
     int dispatched_invoker = -1;  // Accepting invoker (hedge exclusion).
 
-    // --- Network-mode dispatch scan (inert when the network model is off).
-    // The synchronous Dispatch loop becomes an async probe sequence: one
-    // outstanding RPC at a time walks the candidate list.
-    std::vector<int> net_candidates;  // Invoker order for the current scan.
-    size_t net_pos = 0;               // Next candidate to probe.
-    bool net_saw_unhealthy = false;   // A candidate was down at probe time.
-    bool net_saw_giveup = false;      // A candidate's RPC spent its budget.
+    // --- Placement scan: one probe at a time walks the candidate list.
+    ActivationMessage scan_message;    // Built once per scan.
+    std::vector<int> scan_candidates;  // Invoker order for the current scan.
+    size_t scan_pos = 0;               // Next candidate to probe.
+    bool scan_saw_unhealthy = false;   // A candidate was down at probe time.
+    bool scan_saw_giveup = false;      // A candidate's RPC spent its budget.
   };
 
   using PendingMap = std::unordered_map<int64_t, PendingActivation>;
@@ -390,52 +395,62 @@ class Controller {
   void OnFailure(const FailureMessage& message);
   void OnTimeout(int64_t activation_id);
   // Sends the current attempt of pending activation `id`: arms the timeout,
-  // models the dispatch hop, then routes through Dispatch.
+  // then places it with PlaceAfterHop.
   void SendAttempt(int64_t activation_id);
   // Handles a failed attempt: schedules a backoff retry if budget remains,
   // otherwise records the terminal outcome and forgets the activation.
   void FailAttempt(int64_t activation_id, FailureClass failure);
-  // Tries the home invoker first (container affinity, like OpenWhisk's
-  // hash-based co-primary), then the rest round-robin.  Skips unhealthy
-  // invokers, invokers whose breaker is not admitting, and
-  // `exclude_invoker` (>= 0: hedges avoid their primary's invoker).  On
-  // acceptance writes the chosen invoker into `accepted_invoker` if given.
-  DispatchOutcome Dispatch(AppState& state, const ActivationMessage& message,
-                           int exclude_invoker = -1,
-                           int* accepted_invoker = nullptr);
 
-  // --- Network-mode dispatch (async RPC scan; src/cluster/network.h) ---
-  // Terminal kNoCapacity bookkeeping shared by the sync and async paths.
+  // --- Placement scan ---
+  // Terminal no-capacity bookkeeping (no admission queue to park in).
   void DropForCapacity(int64_t activation_id);
+  // Network off: pays one sampled controller->invoker hop, then starts the
+  // scan.  Network on: the request's uplink transit is the hop, so the scan
+  // starts now.
+  void PlaceAfterHop(int64_t activation_id, int exclude_invoker,
+                     const ActivationMessage& message);
   // Builds the candidate order (home-first or least-loaded snapshot, minus
-  // `exclude_invoker`) and begins probing.
-  void StartNetworkScan(int64_t activation_id, int exclude_invoker);
+  // `exclude_invoker`) and begins probing with `message`.  No-op when the
+  // activation is gone.
+  void StartScan(int64_t activation_id, int exclude_invoker,
+                 const ActivationMessage& message);
   // Probes the next candidate whose breaker admits and that is up, or
-  // finishes the scan when the list is exhausted.
-  void AdvanceNetworkScan(int64_t activation_id);
-  // Response/give-up continuations of one probe RPC.
-  void OnNetDispatchResponse(int64_t activation_id, int invoker,
-                             bool accepted);
-  void OnNetDispatchGiveUp(int64_t activation_id, int invoker);
+  // finishes the scan when the list is exhausted.  Inline probes that
+  // decline loop here to the next candidate.
+  void AdvanceScan(int64_t activation_id);
+  // Outcomes of one probe: an accept places the activation; a decline or
+  // an RPC give-up moves the scan on, unless a shed was deferred meanwhile.
+  void OnProbeAccepted(int64_t activation_id, int invoker);
+  void OnProbeMissed(int64_t activation_id);
+  void OnProbeGiveUp(int64_t activation_id, int invoker);
   // Every candidate declined, gave up, or was down: routes the terminal
-  // outcome (hedge fizzle / kNetwork / kOutage / queue-or-drop).
-  void FinishNetworkScan(int64_t activation_id);
-  // Network-mode admission drain: one async probe of the queue head at a
-  // time (the sync while-loop cannot wait on a round trip).
+  // outcome (drain head waits / hedge fizzle / kNetwork / kOutage /
+  // queue-or-drop).
+  void FinishScan(int64_t activation_id);
+  // Serves the admission queue one head probe at a time.  Inline probes end
+  // inside StartScan, so this loops until a head finds no room; an RPC
+  // probe continues the drain from ScanEnded.
   void ProbeAdmissionHead();
-  // Clears the drain-probe slot when scan `activation_id` ends;
-  // `reprobe_drain` starts the next head probe (false when the head simply
-  // found no room and must wait for the next release).
-  void NetScanEnded(int64_t activation_id, bool reprobe_drain);
+  // Clears the drain-probe slot when scan `activation_id` ends.  In network
+  // mode it probes the next head unless this head found no room.
+  void ScanEnded(int64_t activation_id);
+  // True while `activation_id` is a live queued activation.
+  bool StillQueued(int64_t activation_id) const;
 
   // --- Admission queue ---
-  // Parks pending activation `id` after a kNoCapacity dispatch; sheds per
+  // Parks pending activation `id` after a scan found no capacity; sheds per
   // the discipline when the queue is full, arms the CoDel age bound.
   void EnqueueAdmission(int64_t activation_id);
-  // Serves queued activations (per discipline) while dispatches succeed.
+  // Serves queued activations (per discipline) while probes are accepted.
   void DrainAdmissionQueue();
+  // A queued activation left the queue on an invoker: removes it from the
+  // deque and books its wait.
+  void BookDrain(int64_t activation_id, PendingActivation& pending);
   // Terminal: removes a QUEUED activation and records the shed.
   void ShedActivation(int64_t activation_id, ShedReason reason);
+  // Sheds queued activation `id`, or defers the shed to the outcome of its
+  // drain probe while that probe is in flight.
+  void ShedOrDefer(int64_t activation_id, ShedReason reason);
   // Drops ids whose pending entry is gone (superseded) from the deque.
   void CompactAdmissionQueue();
   // Pops superseded ids off the served end of the queue; returns the live
@@ -499,9 +514,9 @@ class Controller {
   // jointly with PendingActivation::queued.
   AdmissionQueue<int64_t> admission_queue_;
   bool drain_scheduled_ = false;
-  // Network-mode drain: the activation id currently probing the cluster on
-  // behalf of the admission queue (0 = no probe outstanding).
-  int64_t net_drain_id_ = 0;
+  // The queued activation whose scan is probing the cluster on behalf of
+  // the admission queue (0 = none).
+  int64_t drain_id_ = 0;
   // Per-invoker breakers; sized only when the breaker is enabled.
   std::vector<CircuitBreaker> breakers_;
   // Fed end-to-end completion latency only while hedging is enabled.

@@ -1,7 +1,7 @@
 // Overload control plane: the knobs, the ledger, and the three mechanisms.
 //
 // The pre-overload controller had exactly two answers when every healthy
-// invoker was out of memory: drop the activation on the floor (kNoCapacity)
+// invoker was out of memory: drop the activation on the floor
 // or burn retry budget spinning against a saturated fleet.  Real FaaS
 // front-ends survive flash crowds with *bounded* queues, shedding, and
 // circuit breakers instead.  This header holds the configuration for the

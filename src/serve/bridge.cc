@@ -285,7 +285,7 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
     const double latency_ms =
         static_cast<double>(now_ns - arrival_ns) / 1e6;
     if (!breakers_.empty()) {
-      RecordCompletion(executor, latency_ms, now_ns);
+      RecordCompletion(executor, exec_ms, now_ns);
     }
     Served(cold, conn_token, frame.request_id, arrival_ns, latency_ms, now_ns);
     DrainIfQueued(now_ns);
@@ -297,6 +297,7 @@ void AdmissionBridge::Execute(int executor, uint64_t conn_token,
   pending.request_id = frame.request_id;
   pending.function_id = frame.function_id;
   pending.arrival_ns = arrival_ns;
+  pending.start_ns = now_ns;
   pending.executor = executor;
   pending.cold = cold;
   pending.is_hedge = is_hedge;
@@ -350,7 +351,8 @@ void AdmissionBridge::Complete(uint64_t key, int64_t now_ns) {
   if (!breakers_.empty()) {
     // Every completion is an outcome for its executor's breaker, a zombie's
     // included (controller semantics).
-    RecordCompletion(p->executor, latency_ms, now_ns);
+    RecordCompletion(p->executor,
+                     static_cast<double>(now_ns - p->start_ns) / 1e6, now_ns);
   }
 
   if (p->dead) {
@@ -509,10 +511,10 @@ void AdmissionBridge::QueueSweepTimer(void* ctx, uint64_t /*data*/,
   bridge->ArmQueueSweep(now_ns);
 }
 
-void AdmissionBridge::RecordCompletion(int executor, double latency_ms,
+void AdmissionBridge::RecordCompletion(int executor, double exec_ms,
                                        int64_t now_ns) {
   const BreakerStep step =
-      breakers_[executor].RecordCompletion(latency_ms, now_ns, ledger_);
+      breakers_[executor].RecordCompletion(exec_ms, now_ns, ledger_);
   if (step.change == BreakerStep::Change::kOpened) {
     ++open_breakers_;
     wheel_->Schedule(step.half_open_at_ns, &AdmissionBridge::BreakerTimer,

@@ -178,6 +178,10 @@ class AdmissionBridge {
     uint64_t request_id = 0;
     uint32_t function_id = 0;
     int64_t arrival_ns = 0;
+    // Execution start: the breaker's latency signal runs from here, so
+    // queue wait does not trip it (the controller feeds it the invoker's
+    // execution latency too).
+    int64_t start_ns = 0;
     int32_t executor = -1;
     uint32_t generation = 0;
     bool cold = false;
@@ -246,9 +250,9 @@ class AdmissionBridge {
   double DegradePressure() const;
 
   // --- breakers ---
-  // Feeds a completion `latency_ms` long into `executor`'s breaker and arms
-  // the half-open timer if it opened.
-  void RecordCompletion(int executor, double latency_ms, int64_t now_ns);
+  // Feeds a completion whose execution took `exec_ms` into `executor`'s
+  // breaker and arms the half-open timer if it opened.
+  void RecordCompletion(int executor, double exec_ms, int64_t now_ns);
 
   // --- plumbing ---
   FunctionPool& PoolFor(int executor, uint32_t function_id);

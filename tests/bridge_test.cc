@@ -165,6 +165,25 @@ TEST(AdmissionBridgeTest, StragglerCompletingInHalfOpenCountsTowardClosing) {
   }
 }
 
+TEST(AdmissionBridgeTest, QueueWaitDoesNotTripTheLatencyBreaker) {
+  // One slot: request 2 waits 5 ms in the admission queue behind request
+  // 1, then executes in 5 ms.  Its 10 ms end-to-end latency exceeds the
+  // 8 ms threshold, but its execution does not, so both outcomes are good.
+  AdmissionBridgeConfig config = OneExecutorWithBreaker();
+  config.overload.breaker.latency_threshold_ms = 8.0;
+  config.overload.invoker_concurrency_cap = 1;
+  config.overload.admission.capacity = 4;
+  Harness h(config);
+
+  h.Request(1, 0);
+  h.Request(2, 0);
+  h.RunTo(20 * kMs);
+  ASSERT_EQ(h.replies().size(), 2u);
+  EXPECT_EQ(h.replies()[1].request_id, 2u);
+  EXPECT_GT(h.replies()[1].at_ns, 8 * kMs);
+  EXPECT_EQ(h.bridge().ledger().breaker_opens, 0);
+}
+
 AdmissionBridgeConfig TwoExecutorsHedging() {
   AdmissionBridgeConfig config;
   config.num_executors = 2;

@@ -1,7 +1,8 @@
 // Network model + RPC plane tests: fault-plan parsing for the network
 // classes, link-level drop/duplicate/queue/rate semantics, duplicate-delivery
 // idempotency, partition-heal recovery, network-off byte-identity against the
-// baseline engine, and ledger determinism across thread counts.
+// baseline engine, ledger determinism across thread counts, and the
+// controller's conservation identities around the admission drain probe.
 
 #include "src/cluster/network.h"
 
@@ -16,6 +17,8 @@
 #include "src/faults/fault_plan.h"
 #include "src/policy/hybrid.h"
 #include "src/policy/policy.h"
+#include "src/workload/arrival.h"
+#include "src/workload/generator.h"
 
 namespace faas {
 namespace {
@@ -392,6 +395,219 @@ TEST(NetworkClusterTest, LedgerDeterministicAcrossThreadCounts) {
                 reference.end_to_end_latency_ms);
     }
   }
+}
+
+// ---- Conservation across the drain probe ----------------------------------
+
+// A small generated day with three flash crowds, the perfbench
+// cluster_overload shape scaled down.
+Trace MakeCrowdTrace(uint64_t seed) {
+  GeneratorConfig generator;
+  generator.num_apps = 40;
+  generator.days = 1;
+  generator.instants_rate_cap_per_day = 1500.0;
+  generator.seed = seed;
+  Trace trace = WorkloadGenerator(generator).Generate();
+  FlashCrowdSpec crowd;
+  crowd.count = 3;
+  crowd.duration = Duration::Minutes(10);
+  crowd.fraction = 0.5;
+  crowd.events_per_function = 30.0;
+  Rng rng(seed * 7919 + 13);
+  ApplyFlashCrowd(trace, crowd, rng);
+  return trace;
+}
+
+// 1 ms links and a concurrency cap small enough that the crowds queue.
+ClusterConfig CrowdClusterConfig(uint64_t seed,
+                                 AdmissionDiscipline discipline) {
+  ClusterConfig config;
+  config.num_invokers = 3;
+  config.seed = seed;
+  config.network.enabled = true;
+  config.network.uplink.latency_median_ms = 1.0;
+  config.network.downlink.latency_median_ms = 1.0;
+  config.overload.admission.capacity = 1024;
+  config.overload.admission.discipline = discipline;
+  config.overload.admission.max_wait = Duration::Seconds(2);
+  config.overload.invoker_concurrency_cap = 4;
+  return config;
+}
+
+int64_t AppColdStarts(const ClusterResult& result) {
+  int64_t cold = 0;
+  for (const ClusterAppResult& app : result.apps) {
+    cold += app.cold_starts;
+  }
+  return cold;
+}
+
+// An activation that entered a FIFO/CoDel queue leaves it drained or shed
+// by age or shutdown; queue-full sheds are arrivals that never queued.
+void ExpectQueueConserved(const OverloadLedger& o) {
+  EXPECT_EQ(o.queued, o.drained + o.shed_deadline + o.shed_at_shutdown);
+}
+
+TEST(NetworkConservationTest, EveryActivationEndsExactlyOnce) {
+  // No faults, hedges, retries or timeouts: each activation executes once
+  // or ends terminally once, so the invokers' executions plus the
+  // controller's terminal outcomes count the trace exactly.
+  const FixedKeepAliveFactory factory(Duration::Minutes(10));
+  int64_t queued = 0;
+  int64_t shed_deadline = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const Trace trace = MakeCrowdTrace(seed);
+    for (const AdmissionDiscipline discipline :
+         {AdmissionDiscipline::kFifo, AdmissionDiscipline::kCoDel}) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << " discipline "
+                   << static_cast<int>(discipline));
+      const ClusterResult r =
+          ClusterSimulator(CrowdClusterConfig(seed, discipline))
+              .Replay(trace, factory);
+      EXPECT_EQ(r.total_invocations, trace.TotalInvocations());
+      EXPECT_EQ(r.total_cold_starts + r.total_warm_starts + r.total_dropped +
+                    r.total_rejected_outage + r.total_abandoned +
+                    r.total_lost,
+                r.total_invocations);
+      EXPECT_EQ(AppColdStarts(r), r.total_cold_starts);
+      ExpectQueueConserved(r.overload);
+      EXPECT_EQ(r.pending_activations, 0);
+      queued += r.overload.queued;
+      shed_deadline += r.overload.shed_deadline;
+    }
+  }
+  // The crowds did push work through the queue and past the CoDel bound.
+  EXPECT_GT(queued, 0);
+  EXPECT_GT(shed_deadline, 0);
+}
+
+TEST(NetworkConservationTest, LedgersHoldUnderFaultsHedgesAndRetries) {
+  // Loss, duplication, reordering, short partitions and crashes, with
+  // hedging and retries but no activation timeout.  Hedge losers and
+  // re-dispatched attempts may execute as zombies, so invoker cold starts
+  // only bound the controller's; every activation must still end, and the
+  // queue and transport ledgers must balance.
+  const FixedKeepAliveFactory factory(Duration::Minutes(10));
+  std::string error;
+  const auto faults = FaultPlan::Parse(
+      "netloss:at=1h,for=20h,p=0.02; netdup:at=2h,for=20h,p=0.05; "
+      "netreorder:at=3h,for=20h,p=0.2,delay=20ms; "
+      "partition:at=5h,for=1s,invoker=0; partition:at=9h,for=1500ms; "
+      "partition:at=14h,for=800ms,invoker=2,dir=down",
+      &error);
+  ASSERT_TRUE(faults.has_value()) << error;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const Trace trace = MakeCrowdTrace(seed);
+    ClusterConfig config = CrowdClusterConfig(seed, AdmissionDiscipline::kCoDel);
+    config.faults = *faults;
+    config.faults.crashes.push_back(
+        {static_cast<int>(seed % 3), TimePoint::Origin() + Duration::Hours(7),
+         Duration::Minutes(2)});
+    config.faults.crashes.push_back(
+        {static_cast<int>((seed + 1) % 3),
+         TimePoint::Origin() + Duration::Hours(12), Duration::Minutes(5)});
+    config.retry.max_retries = 2;
+    config.overload.hedge.after = Duration::Millis(300);
+    const ClusterResult r = ClusterSimulator(config).Replay(trace, factory);
+    EXPECT_EQ(r.pending_activations, 0);
+    // The controller books exactly one outcome per activation.
+    EXPECT_EQ(static_cast<int64_t>(r.billed_execution_ms.size()) +
+                  r.total_dropped + r.total_rejected_outage +
+                  r.total_abandoned + r.total_lost,
+              r.total_invocations);
+    ExpectQueueConserved(r.overload);
+    const FaultLedger& f = r.faults;
+    EXPECT_EQ(f.net_messages_sent + f.net_duplicates_delivered,
+              f.net_delivered + f.net_lost_to_loss + f.net_lost_to_partition +
+                  f.net_lost_to_queue);
+    EXPECT_LE(AppColdStarts(r), r.total_cold_starts);
+    EXPECT_GT(r.overload.hedges_launched, 0);
+    EXPECT_GT(r.faults.net_lost_to_loss, 0);
+  }
+}
+
+// One invoker with room for one execution, constant 1 ms links and 2 ms
+// cold starts: activation 1 runs [1, 1003) ms; activation 2 arrives at
+// 10 ms, is declined, and parks at 12 ms.  The release at 1003 ms sends
+// the drain probe, which the invoker accepts at 1004 ms.
+ClusterConfig PinpointConfig() {
+  ClusterConfig config;
+  config.num_invokers = 1;
+  config.latency.container_init_median_ms = 1.0;
+  config.latency.container_init_sigma = 0.0;
+  config.latency.runtime_bootstrap_median_ms = 1.0;
+  config.latency.runtime_bootstrap_sigma = 0.0;
+  config.network.enabled = true;
+  config.network.uplink.latency_median_ms = 1.0;
+  config.network.uplink.latency_sigma = 0.0;
+  config.network.downlink.latency_median_ms = 1.0;
+  config.network.downlink.latency_sigma = 0.0;
+  config.overload.admission.capacity = 8;
+  config.overload.invoker_concurrency_cap = 1;
+  return config;
+}
+
+TEST(NetworkConservationTest, CompletionOvertakingDrainResponseBooksDrain) {
+  // The drain probe's response is lost at 1004 ms and only a retransmit
+  // 2 s later answers it, so activation 2's completion (1 s after the
+  // accept) reaches the controller while it is still marked queued.
+  const Trace trace = MakeTrace(2, Duration::Millis(10), Duration::Seconds(1));
+  ClusterConfig config = PinpointConfig();
+  config.network.rpc_timeout = Duration::Seconds(2);
+  std::string error;
+  config.faults =
+      *FaultPlan::Parse("partition:at=1004ms,for=1ms,dir=down", &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const ClusterResult r = ClusterSimulator(config).Replay(
+      trace, FixedKeepAliveFactory(Duration::Minutes(10)));
+  EXPECT_EQ(r.faults.net_lost_to_partition, 1);
+  EXPECT_EQ(r.overload.queued, 1);
+  EXPECT_EQ(r.overload.drained, 1);
+  EXPECT_EQ(r.total_cold_starts + r.total_warm_starts, 2);
+  EXPECT_EQ(AppColdStarts(r), r.total_cold_starts);
+  EXPECT_EQ(r.total_dropped, 0);
+  EXPECT_EQ(r.pending_activations, 0);
+}
+
+TEST(NetworkConservationTest, DeadlineDuringDrainProbeWaitsForItsOutcome) {
+  // Activation 2's CoDel bound (parked at 12 ms + 992 ms) expires at
+  // 1004 ms, while its drain probe is in flight.  The invoker accepts the
+  // probe, so the activation was drained, not shed.
+  const Trace trace = MakeTrace(2, Duration::Millis(10), Duration::Seconds(1));
+  ClusterConfig config = PinpointConfig();
+  config.overload.admission.discipline = AdmissionDiscipline::kCoDel;
+  config.overload.admission.max_wait = Duration::Millis(992);
+  const ClusterResult r = ClusterSimulator(config).Replay(
+      trace, FixedKeepAliveFactory(Duration::Minutes(10)));
+  EXPECT_EQ(r.overload.queued, 1);
+  EXPECT_EQ(r.overload.drained, 1);
+  EXPECT_EQ(r.overload.shed_deadline, 0);
+  EXPECT_EQ(r.total_dropped, 0);
+  EXPECT_EQ(r.total_cold_starts, 1);
+  EXPECT_EQ(r.total_warm_starts, 1);
+  ASSERT_EQ(r.apps.size(), 1u);
+  EXPECT_EQ(r.apps[0].Completed(), 2);
+}
+
+// A shed that came due during the probe still lands when the probe does
+// not place the activation.
+TEST(NetworkConservationTest, DeadlineDuringDeclinedDrainProbeSheds) {
+  // Activation 3 takes the slot activation 1 freed, so activation 2's
+  // drain probe at 1003 ms is declined after its CoDel bound expired.
+  Trace trace = MakeTrace(2, Duration::Millis(10), Duration::Seconds(1));
+  trace.apps[0].functions[0].invocations.push_back(TimePoint(1002));
+  trace.apps[0].functions[0].execution.count = 3;
+  ClusterConfig config = PinpointConfig();
+  config.overload.admission.discipline = AdmissionDiscipline::kCoDel;
+  config.overload.admission.max_wait = Duration::Millis(992);
+  const ClusterResult r = ClusterSimulator(config).Replay(
+      trace, FixedKeepAliveFactory(Duration::Minutes(10)));
+  ExpectQueueConserved(r.overload);
+  EXPECT_EQ(r.overload.shed_deadline, 1);
+  EXPECT_EQ(r.total_dropped, 1);
+  EXPECT_EQ(r.total_cold_starts + r.total_warm_starts + r.total_dropped, 3);
 }
 
 }  // namespace

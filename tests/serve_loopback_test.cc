@@ -390,7 +390,16 @@ TEST(ServeLoopbackTest, WatchdogRescuesStalledShardAndRetryKeepsGoodput) {
   ServeConfig config = BaseConfig();
   config.bridge.num_executors = 2;
   config.bridge.service_time_us = 5'000;
-  config.bridge.chaos = MustParsePlan("stall:executor=0,at=200ms,for=30s");
+  // New work is routed around a stalled shard, so only a stall that begins
+  // while executor 0 has work in flight freezes anything.  The plan is
+  // anchored at server start, not at the client's first request, so a
+  // 300 ms stall every 500 ms for 30 s puts at least one onset inside the
+  // 700 ms load however late the client starts.
+  for (int i = 0; i < 60; ++i) {
+    config.bridge.chaos.stalls.push_back(
+        {/*executor=*/0, Duration::Millis(200 + 500 * i),
+         Duration::Millis(300)});
+  }
   config.bridge.watchdog.enabled = true;
   config.bridge.watchdog.interval = Duration::Millis(25);
   config.bridge.watchdog.stall_threshold = Duration::Millis(80);

@@ -29,7 +29,11 @@
 # GeneratorCalibrationTest, whose twelve test processes each regenerate a
 # 1500-app week to check statistics: about 20 CPU-seconds under ASan, at
 # the start of the leg, beside its wall-clock serving tests).
-# After tier-1, the determinism tests (names matching
+# After tier-1, the four cluster benches regenerate their result CSVs into
+# a temporary directory and each must match the committed file byte for
+# byte: the controller's placement, overload and network paths have no
+# other end-to-end golden.  The step writes no tracked file.
+# Then the determinism tests (names matching
 # BitIdentical|Determinis|AcrossThreads) run 20 times each, stopping at the
 # first failure, so a flaky thread-count dependence shows up as a red check
 # rather than a rare one; then 20 times more with FAAS_POOL_THREADS at
@@ -66,6 +70,14 @@ echo "== tier-1: build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
+echo "== tier-1: cluster result CSVs regenerate byte-identical =="
+CLUSTER_CSV_DIR="$(mktemp -d)"
+trap 'rm -rf "${CLUSTER_CSV_DIR}"' EXIT
+for bench in fig20_cluster chaos_cluster overload_cluster network_cluster; do
+  FAAS_BENCH_RESULTS_DIR="${CLUSTER_CSV_DIR}" FAAS_BENCH_NETWORK_JSON=off \
+      "./build/bench/bench_${bench}" >/dev/null
+  cmp "results/${bench}.csv" "${CLUSTER_CSV_DIR}/${bench}.csv"
+done
 echo "== tier-1: determinism tests, repeated until failure (20x) =="
 (cd build && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
     --repeat until-fail:20 -R 'BitIdentical|Determinis|AcrossThreads')
@@ -117,7 +129,7 @@ else
       series_test arima_model_test auto_arima_test nelder_mead_test \
       overload_core_test bridge_test arrival_test generator_test
   (cd build-ubsan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead|DiurnalProfile|PoissonArrivals|BurstyArrivals|GeneratorGolden|GeneratorEdgeCase')
+      -R 'FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|NetworkConservation|ChaosCluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|Controller|Cluster|SweepStream|GeneratorShard|CompiledTrace|TelemetryMetrics|TelemetryTracer|TelemetryExport|TelemetryIntegration|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead|DiurnalProfile|PoissonArrivals|BurstyArrivals|GeneratorGolden|GeneratorEdgeCase')
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -138,7 +150,7 @@ else
   # (StreamedSweepWithConcurrentChaosReplay): a chaos replay with an active
   # fault plan runs while the streamed sweep recycles its shard arena.
   (cd build-asan && ctest --output-on-failure -j "${JOBS}" --no-tests=error \
-      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead|DiurnalProfile|PoissonArrivals|BurstyArrivals|GeneratorGolden|GeneratorEdgeCase')
+      -R 'Intern|EntityIndex|Csv|Transform|CompiledTrace|CompiledReplay|Sweep|SweepStream|GeneratorShard|FaultPlan|NetFaultPlan|NetworkModel|NetworkCluster|NetworkConservation|ChaosCluster|Controller|Cluster|Overload|AdmissionQueue|AdmissionBridge|CircuitBreaker|Hedge|FlashCrowd|TelemetryMetrics|TelemetryTracer|ServeCodec|ServeLoopback|ServeChaosPlan|IdempotencyIndex|RecoveryLedger|TimerWheel|LatencyRecorder|ResourceLedger|RootsTest|RootsAgreement|AutoArima|ArimaModel|NelderMead|DiurnalProfile|PoissonArrivals|BurstyArrivals|GeneratorGolden|GeneratorEdgeCase')
 fi
 
 echo "== all checks passed =="
